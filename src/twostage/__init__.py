@@ -21,7 +21,6 @@ from .functions import (
     GraphCut,
     Modular,
     Oracle,
-    build_oracles,
     descriptor_from_json,
 )
 from .harness import (
@@ -52,7 +51,6 @@ from .local_search import (
     local_gain,
     score_items,
     select_top_l,
-    swap_gain,
 )
 from .reference import (
     BRUTE_FORCE_GUARD,
@@ -67,11 +65,9 @@ from .reference import (
     random_baseline,
 )
 from .solver import (
-    EstimateSummary,
     RoundState,
     TwoStageSolution,
     apply_candidate,
-    expected_F_estimate,
     feasible_sets_value,
     replacement_greedy,
     sampling_greedy,
@@ -91,7 +87,6 @@ __all__ = [
     "Modular",
     "FunctionDescriptor",
     "Oracle",
-    "build_oracles",
     "descriptor_from_json",
     "Instance",
     "parse_instance",
@@ -103,19 +98,16 @@ __all__ = [
     "SWAP",
     "GainAction",
     "ScoredItem",
-    "swap_gain",
     "local_gain",
     "apply_action",
     "score_items",
     "select_top_l",
     "RoundState",
     "TwoStageSolution",
-    "EstimateSummary",
     "trim",
     "apply_candidate",
     "sampling_greedy",
     "replacement_greedy",
-    "expected_F_estimate",
     "feasible_sets_value",
     "EXACT_EVAL_GUARD",
     "BRUTE_FORCE_GUARD",

@@ -9,9 +9,8 @@ calls, hence every evaluation goes through :class:`Oracle`, which counts.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Collection
 
 from .exceptions import PreconditionError, ValidationError
 
@@ -22,7 +21,6 @@ __all__ = [
     "Modular",
     "FunctionDescriptor",
     "Oracle",
-    "build_oracles",
     "descriptor_from_json",
 ]
 
@@ -269,12 +267,11 @@ class Oracle:
     """Evaluation oracle for one descriptor over an extended ground set.
 
     Wraps a descriptor with the (n, l) geometry, validates item ids, and
-    counts every evaluation.  The counter increment is lock-protected so
-    concurrent workers may share an oracle; everything else is read-only
-    after construction.
+    counts every evaluation.  An oracle belongs to one solve or one report:
+    ``Instance.oracles()`` builds fresh ones each time, and none is shared.
     """
 
-    __slots__ = ("descriptor", "n", "l", "_limit", "_count", "_lock")
+    __slots__ = ("descriptor", "n", "l", "_limit", "_count")
 
     def __init__(self, descriptor: FunctionDescriptor, n: int, l: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -287,14 +284,10 @@ class Oracle:
         self.l = l
         self._limit = n + l
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def eval_count(self) -> int:
         return self._count
-
-    def is_dummy(self, x: int) -> bool:
-        return x >= self.n
 
     def eval(self, items: Collection[int]) -> float:
         """Value of the item set.  Counts as one oracle call."""
@@ -304,18 +297,5 @@ class Oracle:
                 raise PreconditionError(
                     f"item {x} out of range, ground set has {self.n} real and {self.l} dummy ids"
                 )
-        with self._lock:
-            self._count += 1
+        self._count += 1
         return self.descriptor.value(items)
-
-    def marginal(self, x: int, items: Collection[int]) -> float:
-        """Gain of adding x to the set: eval(A + x) - eval(A).  Two calls."""
-        base = frozenset(items)
-        return self.eval(base | {x}) - self.eval(base)
-
-
-def build_oracles(
-    functions: Iterable[FunctionDescriptor], n: int, l: int
-) -> list[Oracle]:
-    """Instantiate one counting oracle per descriptor over the same ground set."""
-    return [Oracle(f, n, l) for f in functions]

@@ -3,9 +3,9 @@
 A run takes one instance and one RunConfig, executes the configured number of
 trials with fanned-out seeds, and produces one TrialRecord per trial.  When
 the instance is small enough for the brute-force guard, the optimum is
-computed once and every record carries its ratio against it.  Records sort by
-(instance_id, algorithm, seed) so the CSV is order-deterministic no matter
-how trials were scheduled.
+computed once and every record carries its ratio against it.  The CSV writer
+sorts rows by (instance_id, algorithm, seed), so its bytes do not depend on
+the order in which records are passed in.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import io
 import itertools
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -150,18 +149,13 @@ def run_experiment(
     instance: Instance,
     config: RunConfig,
     instance_id: str = "instance",
-    workers: int = 1,
 ) -> list[TrialRecord]:
-    """Execute the configured trials and return sorted TrialRecords.
+    """Execute the configured trials and return their TrialRecords.
 
-    Trial t runs with seed base_seed + t.  The optimum (hence F_opt and
-    ratio) is filled in whenever the instance fits the brute-force guard;
-    larger instances get blank ratio columns.  workers > 1 runs trials in a
-    thread pool; the sorted output is identical either way, wall_ms aside.
+    Trial t runs with seed base_seed + t, so records come out in seed order.
+    The optimum (hence F_opt and ratio) is filled in whenever the instance
+    fits the brute-force guard; larger instances get blank ratio columns.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValidationError("workers must be ≥ 1")
-
     if config.algorithm == "brute_force":
         start = time.perf_counter()
         optimum = brute_force_optimum(instance)
@@ -204,13 +198,7 @@ def run_experiment(
             wall_ms,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one_trial, range(config.trials)))
-    else:
-        records = [one_trial(t) for t in range(config.trials)]
-    records.sort(key=_record_key)
-    return records
+    return [one_trial(t) for t in range(config.trials)]
 
 
 def _fmt(x: float) -> str:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .exceptions import ValidationError
-from .functions import FunctionDescriptor, Oracle, build_oracles, descriptor_from_json
+from .functions import FunctionDescriptor, Oracle, descriptor_from_json
 
 __all__ = [
     "Instance",
@@ -60,21 +60,13 @@ class Instance:
         return len(self.functions)
 
     @property
-    def real_ids(self) -> range:
-        return range(self.n)
-
-    @property
-    def dummy_ids(self) -> range:
-        return range(self.n, self.n + self.l)
-
-    @property
     def all_ids(self) -> range:
         """Real items extended by the l dummy ids."""
         return range(self.n + self.l)
 
     def oracles(self) -> list[Oracle]:
         """Fresh counting oracles over this instance's extended ground set."""
-        return build_oracles(self.functions, self.n, self.l)
+        return [Oracle(f, self.n, self.l) for f in self.functions]
 
 
 def parse_instance(text: bytes | str) -> Instance:
@@ -147,6 +139,10 @@ def generate_instance(
     """
     if kind not in GENERATOR_KINDS:
         raise ValidationError(f"unknown generator kind {kind!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValidationError("n must be an integer ≥ 1")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValidationError("seed must be an integer")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValidationError("m must be ≥ 1")
     rng = random.Random(seed)

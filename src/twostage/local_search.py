@@ -24,7 +24,6 @@ __all__ = [
     "SWAP",
     "GainAction",
     "ScoredItem",
-    "swap_gain",
     "local_gain",
     "apply_action",
     "score_items",
@@ -49,16 +48,6 @@ class GainAction:
 class ScoredItem:
     item: int
     total_score: float
-
-
-def swap_gain(f: Oracle, x: int, y: int, A: Iterable[int]) -> float:
-    """Value change from replacing y with x: f(A + x - y) - f(A)."""
-    base = frozenset(A)
-    if y not in base:
-        raise PreconditionError(f"swap victim {y} not in A")
-    if x in base:
-        raise PreconditionError(f"swap candidate {x} already in A")
-    return f.eval((base | {x}) - {y}) - f.eval(base)
 
 
 def local_gain(

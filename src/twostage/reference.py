@@ -12,12 +12,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .exceptions import GuardExceededError
 from .functions import Oracle
 from .instances import Instance
-from .solver import TwoStageSolution, replacement_greedy
+from .solver import TwoStageSolution
 
 __all__ = [
     "EXACT_EVAL_GUARD",
@@ -29,7 +29,6 @@ __all__ = [
     "evaluate_F_greedy",
     "greedy_witnesses",
     "brute_force_optimum",
-    "replacement_greedy",
     "random_baseline",
 ]
 
@@ -63,14 +62,16 @@ def brute_force_cost(instance: Instance) -> int:
     return per_size * instance.m
 
 
-def _best_subset(oracle: Oracle, S: Iterable[int], k: int) -> tuple[float, tuple[int, ...]]:
-    """Enumerate subsets of S up to size k; max value, lex-smallest witness."""
-    members = sorted(S)
+def _best_subset(
+    value: Callable[[tuple[int, ...]], float], members: Sequence[int], max_size: int
+) -> tuple[float, tuple[int, ...]]:
+    """Enumerate subsets of the ascending ``members`` up to ``max_size`` items;
+    max value, ties to the lexicographically smallest tuple."""
     best_val: float | None = None
     best_tup: tuple[int, ...] | None = None
-    for size in range(min(k, len(members)) + 1):
+    for size in range(min(max_size, len(members)) + 1):
         for combo in itertools.combinations(members, size):
-            val = oracle.eval(frozenset(combo))
+            val = value(combo)
             if best_val is None or val > best_val or (val == best_val and combo < best_tup):
                 best_val = val
                 best_tup = combo
@@ -92,10 +93,11 @@ def evaluate_F_exact(instance: Instance, S: Iterable[int]) -> ExactResult:
             f"{cost} subset evaluations per function, limit {EXACT_EVAL_GUARD}; "
             "use evaluate_F_greedy instead"
         )
+    members = sorted(S)
     total = 0.0
     witnesses = []
     for oracle in instance.oracles():
-        val, tup = _best_subset(oracle, S, instance.k)
+        val, tup = _best_subset(lambda c: oracle.eval(frozenset(c)), members, instance.k)
         total += val
         witnesses.append(frozenset(tup))
     return ExactResult(total, tuple(witnesses))
@@ -159,14 +161,9 @@ def brute_force_optimum(instance: Instance) -> ExactResult:
         raise GuardExceededError(
             f"brute-force optimum needs {cost} oracle calls, limit {BRUTE_FORCE_GUARD}"
         )
-    best_val: float | None = None
-    best_tup: tuple[int, ...] | None = None
-    for size in range(instance.l + 1):
-        for combo in itertools.combinations(range(instance.n), size):
-            val = evaluate_F_exact(instance, combo).value
-            if best_val is None or val > best_val or (val == best_val and combo < best_tup):
-                best_val = val
-                best_tup = combo
+    best_val, best_tup = _best_subset(
+        lambda c: evaluate_F_exact(instance, c).value, range(instance.n), instance.l
+    )
     return ExactResult(best_val, frozenset(best_tup))
 
 

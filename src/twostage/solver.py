@@ -11,11 +11,9 @@ budget accounting during the run and are stripped from the returned solution.
 from __future__ import annotations
 
 import random
-import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .exceptions import PreconditionError
 from .functions import Oracle
 from .instances import Instance
 from .local_search import apply_action, local_gain, score_items, select_top_l
@@ -23,12 +21,10 @@ from .local_search import apply_action, local_gain, score_items, select_top_l
 __all__ = [
     "RoundState",
     "TwoStageSolution",
-    "EstimateSummary",
     "trim",
     "apply_candidate",
     "sampling_greedy",
     "replacement_greedy",
-    "expected_F_estimate",
     "feasible_sets_value",
 ]
 
@@ -52,13 +48,6 @@ class TwoStageSolution:
     Ts: tuple[frozenset[int], ...]
     evals: int
     seed: int | None
-
-
-@dataclass(frozen=True)
-class EstimateSummary:
-    mean: float
-    stddev: float
-    trials: int
 
 
 def trim(f: Oracle, B: Iterable[int]) -> frozenset[int]:
@@ -170,18 +159,3 @@ def feasible_sets_value(instance: Instance, Ts: Sequence[Iterable[int]]) -> floa
         total += descriptor.value(frozenset(T))
     return total
 
-
-def expected_F_estimate(
-    instance: Instance, trials: int, base_seed: int
-) -> EstimateSummary:
-    """Monte-Carlo mean and sample stddev of the feasible-set value sum over
-    sampling_greedy runs seeded base_seed .. base_seed + trials - 1."""
-    if trials < 1:
-        raise PreconditionError("trials must be ≥ 1")
-    sums = []
-    for t in range(trials):
-        solution = sampling_greedy(instance, base_seed + t)
-        sums.append(feasible_sets_value(instance, solution.Ts))
-    mean = statistics.fmean(sums)
-    stddev = statistics.stdev(sums) if trials > 1 else 0.0
-    return EstimateSummary(mean, stddev, trials)

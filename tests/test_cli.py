@@ -216,6 +216,15 @@ class TestBench:
              "unknown field(s): bogus"),
             ({"generate": {"kind": "coverage"}, "algorithm": "sampling_greedy"},
              "missing generate field(s)"),
+            ({"generate": {"kind": "coverage", "n": "5", "m": 1, "k": 1, "l": 1, "seed": 0},
+              "algorithm": "sampling_greedy"},
+             "n must be an integer ≥ 1"),
+            ({"generate": {"kind": "coverage", "n": 5.0, "m": 1, "k": 1, "l": 1, "seed": 0},
+              "algorithm": "sampling_greedy"},
+             "n must be an integer ≥ 1"),
+            ({"generate": {"kind": "coverage", "n": 5, "m": 1, "k": 1, "l": 1, "seed": [1]},
+              "algorithm": "sampling_greedy"},
+             "seed must be an integer"),
         ],
     )
     def test_entry_errors_exit_2(self, tmp_path, capsys, entry, message):

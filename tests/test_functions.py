@@ -15,9 +15,9 @@ from twostage.functions import (
     GraphCut,
     Modular,
     Oracle,
-    build_oracles,
     descriptor_from_json,
 )
+from twostage.instances import Instance
 
 import helpers
 
@@ -142,21 +142,21 @@ class TestEval:
 class TestMarginal:
     def test_dummy_marginal_is_exactly_zero(self):
         oracle = Oracle(helpers.zoo_coverage(), n=3, l=2)
-        assert oracle.marginal(3, {0, 1}) == 0.0
-        assert oracle.marginal(4, set()) == 0.0
-        assert oracle.marginal(3, {0, 4}) == 0.0
+        assert helpers.marginal(oracle, 3, {0, 1}) == 0.0
+        assert helpers.marginal(oracle, 4, set()) == 0.0
+        assert helpers.marginal(oracle, 3, {0, 4}) == 0.0
 
     def test_path_cut_marginal_can_be_negative(self):
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        assert oracle.marginal(0, {1}) == -1.0
+        assert helpers.marginal(oracle, 0, {1}) == -1.0
 
     def test_zoo_coverage_marginal(self):
         oracle = Oracle(helpers.zoo_coverage(), n=3, l=2)
-        assert oracle.marginal(2, {0, 1}) == 1.0
+        assert helpers.marginal(oracle, 2, {0, 1}) == 1.0
 
     def test_marginal_costs_two_evaluations(self):
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        oracle.marginal(0, {1})
+        helpers.marginal(oracle, 0, {1})
         assert oracle.eval_count == 2
 
 
@@ -225,8 +225,11 @@ class TestZooProperties:
             assert oracle.eval(set(range(n))) == 0.0
 
 
-def test_build_oracles_shares_ground_set():
-    oracles = build_oracles([helpers.zoo_coverage(), Modular((1.0, 2.0, 3.0))], n=3, l=2)
-    assert [o.n for o in oracles] == [3, 3]
+def test_instance_oracles_share_ground_set():
+    instance = Instance(3, 1, 2, (helpers.zoo_coverage(), Modular((1.0, 2.0, 3.0))))
+    oracles = instance.oracles()
+    assert [(o.n, o.l) for o in oracles] == [(3, 2), (3, 2)]
     assert [o.eval_count for o in oracles] == [0, 0]
-    assert oracles[0].is_dummy(3) and not oracles[0].is_dummy(2)
+    # Ids from n on are dummies: every function ignores them.
+    assert [x for x in instance.all_ids if x >= oracles[0].n] == [3, 4]
+    assert all(o.eval({0, 3, 4}) == o.eval({0}) for o in oracles)

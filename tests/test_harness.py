@@ -15,7 +15,6 @@ from twostage.harness import (
     evaluate_reported_F,
     render_csv,
     run_experiment,
-    write_csv,
 )
 from twostage.instances import Instance, generate_instance
 from twostage.reference import brute_force_cost
@@ -130,22 +129,6 @@ class TestRunExperiment:
         assert records[0].seed == 3 and records[1].seed == 4
         assert records[0].F_reported == records[1].F_reported
 
-    def test_parallel_records_match_serial(self):
-        instance = generate_instance("graph_cut", 7, 2, 2, 3, seed=2)
-        config = RunConfig("sampling_greedy", trials=8, base_seed=100)
-        serial = run_experiment(instance, config, "par", workers=1)
-        parallel = run_experiment(instance, config, "par", workers=4)
-        strip = lambda rs: [
-            (r.instance_id, r.algorithm, r.seed, r.F_reported, r.F_mode,
-             r.sum_fT, r.F_opt, r.ratio, r.evals)
-            for r in rs
-        ]
-        assert strip(serial) == strip(parallel)
-
-    def test_workers_validated(self):
-        with pytest.raises(ValidationError, match="workers must be ≥ 1"):
-            run_experiment(forced_pick_instance(), RunConfig("sampling_greedy"), workers=0)
-
     def test_ratio_sweep_stays_in_unit_interval(self):
         rng = random.Random(80)
         for _ in range(6):
@@ -210,18 +193,3 @@ class TestCsv:
         assert trial_keys == sorted(trial_keys)
         assert rows[0][0] == "a-first"
         assert [r[2] for r in rows[4:]] == ["mean", "stddev", "mean", "stddev"]
-
-    def test_deterministic_bytes_modulo_wall_ms(self):
-        instance = generate_instance("mixed", 6, 3, 2, 3, seed=9)
-        config = RunConfig("sampling_greedy", trials=6, base_seed=50)
-
-        def stripped(workers):
-            records = run_experiment(instance, config, "det", workers=workers)
-            buffer = io.StringIO()
-            write_csv(records, buffer)
-            rows = list(csv.reader(io.StringIO(buffer.getvalue())))
-            return [row[:-1] for row in rows]
-
-        first = stripped(1)
-        assert first == stripped(1)
-        assert first == stripped(3)

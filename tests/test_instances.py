@@ -57,8 +57,7 @@ class TestValidation:
     def test_id_ranges(self):
         instance = small_instance()
         assert instance.m == 2
-        assert list(instance.real_ids) == [0, 1, 2]
-        assert list(instance.dummy_ids) == [3, 4]
+        assert instance.n == 3 and instance.l == 2
         assert list(instance.all_ids) == [0, 1, 2, 3, 4]
 
     def test_oracles_are_fresh_and_ordered(self):

@@ -17,36 +17,38 @@ from twostage.local_search import (
     local_gain,
     score_items,
     select_top_l,
-    swap_gain,
 )
 
 import helpers
 
 
 class TestSwapGain:
+    """Swap moves as local_gain chooses them on the unit path cut 0 - 1 - 2."""
+
     def test_path_cut_swap_in_the_middle(self):
+        # f({1}) - f({0}) = 1 beats adding 1 to {0}, which gains nothing.
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        assert swap_gain(oracle, 1, 0, {0}) == 1.0
+        assert local_gain(oracle, 1, {0}, 2) == GainAction(1.0, SWAP, 0)
 
     def test_path_cut_swap_out_of_the_middle(self):
+        # Swapping 0 in for 1 and adding 0 both lose 1.
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        assert swap_gain(oracle, 0, 1, {1}) == -1.0
+        assert local_gain(oracle, 0, {1}, 2) == GainAction(0.0, NOOP)
 
     def test_dummy_swap_against_trim_stable_set_cannot_gain(self):
         # {1} is trim-stable for the path cut: removing 1 would drop 2 -> 0.
         oracle = Oracle(helpers.path_cut(), n=3, l=2)
-        assert swap_gain(oracle, 3, 1, {1}) <= 0.0
-        assert swap_gain(oracle, 4, 1, {1}) == -2.0
+        assert local_gain(oracle, 3, {1}, 1) == GainAction(0.0, NOOP)
+        assert local_gain(oracle, 4, {1}, 2) == GainAction(0.0, NOOP)
 
     def test_victim_must_be_member(self):
-        oracle = Oracle(helpers.path_cut(), n=3, l=0)
         with pytest.raises(PreconditionError, match="swap victim 2 not in A"):
-            swap_gain(oracle, 1, 2, {0})
+            apply_action({0}, 1, GainAction(1.0, SWAP, 2))
 
     def test_candidate_must_be_outside(self):
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        with pytest.raises(PreconditionError, match="swap candidate 0 already in A"):
-            swap_gain(oracle, 0, 0, {0})
+        assert local_gain(oracle, 0, {0, 1}, 2) == GainAction(0.0, NOOP)
+        assert oracle.eval_count == 0
 
 
 class TestLocalGain:

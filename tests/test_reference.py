@@ -17,9 +17,8 @@ from twostage.reference import (
     evaluate_F_greedy,
     exact_eval_cost,
     random_baseline,
-    replacement_greedy,
 )
-from twostage.solver import feasible_sets_value, sampling_greedy
+from twostage.solver import feasible_sets_value, replacement_greedy, sampling_greedy
 
 import helpers
 
@@ -63,7 +62,7 @@ class TestEvaluateFExact:
                 "mixed", rng.randrange(3, 8), rng.randrange(1, 4),
                 rng.randrange(1, 3), 2, seed=rng.randrange(500),
             )
-            S = helpers.random_subset(rng, instance.real_ids)
+            S = helpers.random_subset(rng, range(instance.n))
             result = evaluate_F_exact(instance, S)
             replay = 0.0
             for oracle, witness in zip(instance.oracles(), result.witness):
@@ -102,7 +101,7 @@ class TestEvaluateFGreedy:
                 rng.choice(("graph_cut", "mixed")), rng.randrange(3, 8),
                 rng.randrange(1, 4), rng.randrange(1, 4), 2, seed=rng.randrange(500),
             )
-            S = helpers.random_subset(rng, instance.real_ids)
+            S = helpers.random_subset(rng, range(instance.n))
             assert evaluate_F_greedy(instance, S) <= evaluate_F_exact(instance, S).value
 
 

@@ -2,15 +2,16 @@
 
 import math
 import random
+import statistics
 
 import pytest
 
-from twostage.exceptions import PreconditionError
+from twostage.exceptions import ValidationError
 from twostage.functions import Modular, Oracle
+from twostage.harness import RunConfig, run_experiment
 from twostage.instances import Instance, generate_instance
 from twostage.solver import (
     apply_candidate,
-    expected_F_estimate,
     feasible_sets_value,
     sampling_greedy,
     trim,
@@ -152,28 +153,32 @@ class TestSamplingGreedy:
 
 
 class TestExpectedFEstimate:
+    """Monte-Carlo estimates of the feasible-set value sum, read off the
+    sum_fT column of seeded run_experiment trials."""
+
+    @staticmethod
+    def sums(instance, trials, base_seed):
+        config = RunConfig("sampling_greedy", trials=trials, base_seed=base_seed)
+        return [r.sum_fT for r in run_experiment(instance, config)]
+
     def test_deterministic_instance_has_zero_spread(self):
         instance = Instance(3, 1, 1, (helpers.zoo_coverage(),))
-        estimate = expected_F_estimate(instance, trials=10, base_seed=0)
-        assert estimate.mean == 2.0
-        assert estimate.stddev == 0.0
-        assert estimate.trials == 10
+        assert self.sums(instance, trials=10, base_seed=0) == [2.0] * 10
 
     def test_single_trial_equals_that_run(self):
         instance = generate_instance("graph_cut", 6, 2, 2, 3, seed=8)
-        estimate = expected_F_estimate(instance, trials=1, base_seed=7)
         solution = sampling_greedy(instance, 7)
-        assert estimate.mean == feasible_sets_value(instance, solution.Ts)
-        assert estimate.stddev == 0.0
+        assert self.sums(instance, trials=1, base_seed=7) == [
+            feasible_sets_value(instance, solution.Ts)
+        ]
 
     def test_path_cut_mean_beats_the_guarantee(self):
         # Brute force gives F(O) = 2 for the path cut with k=1, l=2.
         instance = Instance(3, 1, 2, (helpers.path_cut(),))
-        estimate = expected_F_estimate(instance, trials=400, base_seed=0)
-        assert estimate.mean >= 2.0 / (2.0 * math.e)
-        assert 1.5 <= estimate.mean <= 2.0
+        mean = statistics.fmean(self.sums(instance, trials=400, base_seed=0))
+        assert mean >= 2.0 / (2.0 * math.e)
+        assert 1.5 <= mean <= 2.0
 
     def test_trials_must_be_positive(self):
-        instance = Instance(3, 1, 1, (helpers.path_cut(),))
-        with pytest.raises(PreconditionError, match="trials must be"):
-            expected_F_estimate(instance, trials=0, base_seed=0)
+        with pytest.raises(ValidationError, match="trials must be"):
+            RunConfig("sampling_greedy", trials=0)
