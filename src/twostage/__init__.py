@@ -42,12 +42,8 @@ from .instances import (
     serialize_instance,
 )
 from .local_search import (
-    ADD,
-    NOOP,
-    SWAP,
     GainAction,
     ScoredItem,
-    apply_action,
     local_gain,
     score_items,
     select_top_l,
@@ -93,13 +89,9 @@ __all__ = [
     "serialize_instance",
     "generate_instance",
     "GENERATOR_KINDS",
-    "NOOP",
-    "ADD",
-    "SWAP",
     "GainAction",
     "ScoredItem",
     "local_gain",
-    "apply_action",
     "score_items",
     "select_top_l",
     "RoundState",

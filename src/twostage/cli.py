@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .exceptions import GuardExceededError, TwoStageError, ValidationError
-from .harness import RunConfig, TrialRecord, run_experiment, write_csv
+from .harness import F_EVAL_MODES, RunConfig, TrialRecord, run_experiment, write_csv
 from .instances import (
     GENERATOR_KINDS,
     Instance,
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algo", required=True, choices=sorted(_ALGO_NAMES))
     solve.add_argument("--trials", type=int, default=1)
     solve.add_argument("--seed", type=int, default=0, help="base seed; trial t adds t")
-    solve.add_argument("--f-eval", choices=("exact", "greedy", "auto"), default="auto")
+    solve.add_argument("--f-eval", choices=F_EVAL_MODES, default="auto")
     solve.add_argument("--out", required=True, help="output CSV file")
     solve.set_defaults(func=_cmd_solve)
 

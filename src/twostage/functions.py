@@ -36,6 +36,15 @@ def _check_weight(label: str, w: object) -> float:
     return w
 
 
+def _check_total(label: str, weights: tuple[float, ...]) -> None:
+    # Every value sums a subset of these weights, and fsum raises rather than
+    # return inf, so a finite total keeps every value() call finite.
+    try:
+        math.fsum(weights)
+    except OverflowError:
+        raise ValidationError(f"{label} total is not finite") from None
+
+
 @dataclass(frozen=True)
 class Coverage:
     """Weighted coverage: value of A is the total weight of universe
@@ -56,18 +65,19 @@ class Coverage:
             _check_weight(f"universe_weights[{i}]", w)
             for i, w in enumerate(self.universe_weights)
         )
+        _check_total("universe_weights", weights)
         m = len(weights)
         normalized = []
         for i, cover in enumerate(self.covers):
-            elems = frozenset(cover)
-            for u in elems:
+            # Checked before hashing: a nested JSON list is unhashable.
+            for u in cover:
                 if not isinstance(u, int) or isinstance(u, bool):
                     raise ValidationError(f"covers[{i}] contains a non-integer element")
                 if not 0 <= u < m:
                     raise ValidationError(
                         f"covers[{i}] references universe element {u}, universe has {m} elements"
                     )
-            normalized.append(elems)
+            normalized.append(frozenset(cover))
         object.__setattr__(self, "universe_weights", weights)
         object.__setattr__(self, "covers", tuple(normalized))
 
@@ -84,7 +94,9 @@ class Coverage:
             if x < n:
                 covered |= self.covers[x]
         weights = self.universe_weights
-        return float(sum(weights[u] for u in covered))
+        # fsum is correctly rounded, so the value cannot depend on the order
+        # in which the set happens to iterate.
+        return math.fsum(weights[u] for u in covered)
 
     def to_json(self) -> dict:
         return {
@@ -157,7 +169,7 @@ class GraphCut:
     def __post_init__(self) -> None:
         normalized = []
         for i, edge in enumerate(self.edges):
-            if len(edge) != 3:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 3:
                 raise ValidationError(f"edges[{i}] must be a (u, v, weight) triple")
             u, v, w = edge
             for endpoint in (u, v):
@@ -202,6 +214,7 @@ class Modular:
         checked = tuple(
             _check_weight(f"values[{i}]", w) for i, w in enumerate(self.values)
         )
+        _check_total("values", checked)
         object.__setattr__(self, "values", checked)
 
     def validate_for(self, n: int) -> None:
@@ -212,7 +225,7 @@ class Modular:
 
     def value(self, items: Collection[int]) -> float:
         n = len(self.values)
-        return float(sum(self.values[x] for x in items if x < n))
+        return math.fsum(self.values[x] for x in items if x < n)
 
     def to_json(self) -> dict:
         return {"type": "modular", "values": list(self.values)}
@@ -243,10 +256,13 @@ def descriptor_from_json(obj: object) -> FunctionDescriptor:
     if missing:
         raise ValidationError(f"{kind} is missing field(s): {', '.join(missing)}")
     if kind == "coverage":
+        weights = obj["universe_weights"]
+        if not isinstance(weights, list):
+            raise ValidationError("coverage universe_weights must be a list")
         covers = obj["covers"]
         if not isinstance(covers, list) or not all(isinstance(c, list) for c in covers):
             raise ValidationError("coverage covers must be a list of lists")
-        return Coverage(tuple(obj["universe_weights"]), tuple(frozenset(c) for c in covers))
+        return Coverage(tuple(weights), tuple(covers))
     if kind == "facility_location":
         sim = obj["similarity"]
         if not isinstance(sim, list) or not all(isinstance(r, list) for r in sim):
@@ -256,7 +272,7 @@ def descriptor_from_json(obj: object) -> FunctionDescriptor:
         edges = obj["edges"]
         if not isinstance(edges, list):
             raise ValidationError("graph_cut edges must be a list")
-        return GraphCut(tuple(tuple(e) for e in edges))
+        return GraphCut(tuple(edges))
     values = obj["values"]
     if not isinstance(values, list):
         raise ValidationError("modular values must be a list")

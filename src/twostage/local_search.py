@@ -14,18 +14,10 @@ from typing import Iterable, Sequence
 from .exceptions import PreconditionError
 from .functions import Oracle
 
-NOOP = "noop"
-ADD = "add"
-SWAP = "swap"
-
 __all__ = [
-    "NOOP",
-    "ADD",
-    "SWAP",
     "GainAction",
     "ScoredItem",
     "local_gain",
-    "apply_action",
     "score_items",
     "select_top_l",
 ]
@@ -35,13 +27,12 @@ __all__ = [
 class GainAction:
     """Outcome of the local-search decision for one (item, set) pair.
 
-    gain is non-negative; it is zero exactly when kind is NOOP.  victim is
-    the set member to remove, present exactly when kind is SWAP.
+    gain is non-negative; after is the set the best move produces, which is
+    the unchanged set exactly when gain is zero.
     """
 
     gain: float
-    kind: str
-    victim: int | None = None
+    after: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -56,52 +47,34 @@ def local_gain(
     """Best-move gain of x against A under the cardinality budget k.
 
     Returns the exact max of zero, the best swap gain over members of A, and
-    (when |A| < k) the direct-add gain.  The action mirrors the choice: a tie
-    between a positive add and an equal best swap resolves to the swap, and
-    victim ties resolve to the smallest item id.  ``base`` may supply a cached
-    f(A) to save one evaluation; semantics are unchanged.
+    (when |A| < k) the direct-add gain, with the set that move produces.
+    Swaps are evaluated in ascending victim id, then the add; victim ties
+    resolve to the smallest id, and an add must strictly beat the best swap.
+    ``base`` may supply a cached f(A) to save one evaluation; semantics are
+    unchanged.
     """
     current = frozenset(A)
     if len(current) > k:
         raise PreconditionError(f"feasible set has {len(current)} items, budget k={k}")
     if x in current:
-        return GainAction(0.0, NOOP)
+        return GainAction(0.0, current)
     if base is None:
         base = f.eval(current)
 
-    best_swap: float | None = None
-    victim: int | None = None
+    # Only strict improvements replace the running best, so the first victim
+    # in ascending order wins a swap tie and an add must beat every swap.
+    gain, after = 0.0, current
+    with_x = current | {x}
     for y in sorted(current):
-        g = f.eval((current | {x}) - {y}) - base
-        if best_swap is None or g > best_swap:
-            best_swap = g
-            victim = y
-
-    room = len(current) < k
-    add_gain = f.eval(current | {x}) - base if room else None
-
-    gain = 0.0
-    if best_swap is not None and best_swap > gain:
-        gain = best_swap
-    if add_gain is not None and add_gain > gain:
-        gain = add_gain
-    if gain == 0.0:
-        return GainAction(0.0, NOOP)
-    if room and (best_swap is None or add_gain > best_swap):
-        return GainAction(gain, ADD)
-    return GainAction(gain, SWAP, victim)
-
-
-def apply_action(A: Iterable[int], x: int, action: GainAction) -> frozenset[int]:
-    """Replay a GainAction on A, returning the updated set."""
-    current = frozenset(A)
-    if action.kind == NOOP:
-        return current
-    if action.kind == ADD:
-        return current | {x}
-    if action.victim not in current:
-        raise PreconditionError(f"swap victim {action.victim} not in A")
-    return (current | {x}) - {action.victim}
+        candidate = with_x - {y}
+        g = f.eval(candidate) - base
+        if g > gain:
+            gain, after = g, candidate
+    if len(current) < k:
+        g = f.eval(with_x) - base
+        if g > gain:
+            gain, after = g, with_x
+    return GainAction(gain, after)
 
 
 def score_items(

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 from .functions import Oracle
 from .instances import Instance
-from .local_search import apply_action, local_gain, score_items, select_top_l
+from .local_search import local_gain, score_items, select_top_l
 
 __all__ = [
     "RoundState",
@@ -70,22 +70,8 @@ def trim(f: Oracle, B: Iterable[int]) -> frozenset[int]:
 
 def apply_candidate(f: Oracle, T: Iterable[int], x: int, k: int) -> frozenset[int]:
     """Absorb x into T when its local gain is strictly positive, then trim."""
-    current = frozenset(T)
-    action = local_gain(f, x, current, k)
-    if action.gain > 0.0:
-        return trim(f, apply_action(current, x, action))
-    return current
-
-
-def _pick_uniform(rng: random.Random) -> Callable[[Sequence[int]], int]:
-    def pick(candidates: Sequence[int]) -> int:
-        return candidates[rng.randrange(len(candidates))]
-
-    return pick
-
-
-def _pick_first(candidates: Sequence[int]) -> int:
-    return candidates[0]
+    move = local_gain(f, x, T, k)
+    return trim(f, move.after) if move.gain > 0.0 else move.after
 
 
 def _greedy_rounds(
@@ -93,7 +79,8 @@ def _greedy_rounds(
     pick: Callable[[Sequence[int]], int],
     top: int,
     on_round: Callable[[RoundState], None] | None,
-) -> tuple[set[int], list[frozenset[int]], list[Oracle]]:
+    seed: int | None,
+) -> TwoStageSolution:
     oracles = instance.oracles()
     S: set[int] = set()
     Ts: list[frozenset[int]] = [frozenset() for _ in oracles]
@@ -114,7 +101,8 @@ def _greedy_rounds(
                     sum(o.eval_count for o in oracles),
                 )
             )
-    return S, Ts, oracles
+    real = frozenset(x for x in S if x < instance.n)
+    return TwoStageSolution(real, tuple(Ts), sum(o.eval_count for o in oracles), seed)
 
 
 def sampling_greedy(
@@ -131,9 +119,9 @@ def sampling_greedy(
     (instance, seed) pairs give identical output.
     """
     rng = random.Random(seed)
-    S, Ts, oracles = _greedy_rounds(instance, _pick_uniform(rng), instance.l, on_round)
-    real = frozenset(x for x in S if x < instance.n)
-    return TwoStageSolution(real, tuple(Ts), sum(o.eval_count for o in oracles), seed)
+    return _greedy_rounds(
+        instance, lambda M: M[rng.randrange(len(M))], instance.l, on_round, seed
+    )
 
 
 def replacement_greedy(
@@ -142,9 +130,7 @@ def replacement_greedy(
 ) -> TwoStageSolution:
     """Deterministic sibling of sampling_greedy: each round takes the single
     highest-scored remaining item instead of sampling from the top l."""
-    S, Ts, oracles = _greedy_rounds(instance, _pick_first, 1, on_round)
-    real = frozenset(x for x in S if x < instance.n)
-    return TwoStageSolution(real, tuple(Ts), sum(o.eval_count for o in oracles), None)
+    return _greedy_rounds(instance, lambda M: M[0], 1, on_round, None)
 
 
 def feasible_sets_value(instance: Instance, Ts: Sequence[Iterable[int]]) -> float:

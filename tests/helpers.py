@@ -119,13 +119,13 @@ def marginal(oracle, x: int, A) -> float:
 # of violating samples, so a passing sweep returns 0.
 
 def expected_local_gain(descriptor, x: int, A: frozenset[int], k: int):
-    """Exhaustive reference for the best-move gain and its action.
+    """Exhaustive reference for the best-move gain and the set it produces.
 
     Works straight off descriptor values with dict loops, independent of the
-    library's evaluation caching.  Returns (gain, kind, victim).
+    library's evaluation caching.  Returns (gain, after).
     """
     if x in A:
-        return 0.0, "noop", None
+        return 0.0, A
     base = descriptor.value(A)
     swaps = {y: descriptor.value((A | {x}) - {y}) - base for y in A}
     best_swap = max(swaps.values()) if swaps else None
@@ -135,11 +135,11 @@ def expected_local_gain(descriptor, x: int, A: frozenset[int], k: int):
         if candidate is not None and candidate > gain:
             gain = candidate
     if gain == 0.0:
-        return 0.0, "noop", None
+        return 0.0, A
     if len(A) < k and (best_swap is None or add > best_swap):
-        return gain, "add", None
+        return gain, A | {x}
     victim = min(y for y, g in swaps.items() if g == best_swap)
-    return gain, "swap", victim
+    return gain, (A | {x}) - {victim}
 
 
 def nonnegativity_violations(oracle, rng: random.Random, trials: int) -> int:

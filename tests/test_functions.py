@@ -103,6 +103,21 @@ class TestEval:
         assert oracle.eval({0, 1}) == 1.25
         assert oracle.eval(set()) == 0.0
 
+    @pytest.mark.parametrize("kind", ["coverage", "modular"])
+    def test_value_does_not_depend_on_iteration_order(self, kind):
+        # 1, 9 and 17 collide in an 8-slot set, so the two frozensets below
+        # iterate in opposite orders; a plain left-to-right sum gives
+        # 0.6000000000000001 for one and 0.6 for the other.
+        weights = [0.0] * 18
+        weights[1], weights[9], weights[17] = 0.1, 0.2, 0.3
+        if kind == "coverage":
+            descriptor = Coverage(tuple(weights), tuple(frozenset({u}) for u in range(18)))
+        else:
+            descriptor = Modular(tuple(weights))
+        forward, backward = frozenset([1, 9, 17]), frozenset([17, 9, 1])
+        assert list(forward) != list(backward)
+        assert descriptor.value(forward) == descriptor.value(backward) == 0.6
+
     def test_out_of_range_item_rejected(self):
         oracle = Oracle(helpers.zoo_coverage(), n=3, l=2)
         with pytest.raises(PreconditionError, match="item 5 out of range"):

@@ -105,6 +105,21 @@ class TestJsonRoundTrip:
             ('{"n": 1, "k": 1}', r"missing field\(s\): functions, l"),
             ('{"n": 1, "k": 1, "l": 1, "functions": {}}',
              "functions must be a JSON array"),
+            ('{"n": 2, "k": 1, "l": 1, "functions": [{"type": "coverage", '
+             '"universe_weights": 5, "covers": [[0], [0]]}]}',
+             "coverage universe_weights must be a list"),
+            ('{"n": 2, "k": 1, "l": 1, "functions": [{"type": "coverage", '
+             '"universe_weights": [1.0], "covers": [[[0]], [0]]}]}',
+             r"covers\[0\] contains a non-integer element"),
+            ('{"n": 2, "k": 1, "l": 1, "functions": [{"type": "graph_cut", '
+             '"edges": [5]}]}',
+             r"edges\[0\] must be a \(u, v, weight\) triple"),
+            ('{"n": 2, "k": 1, "l": 1, "functions": [{"type": "coverage", '
+             '"universe_weights": [1e308, 1e308], "covers": [[0], [1]]}]}',
+             "universe_weights total is not finite"),
+            ('{"n": 2, "k": 1, "l": 1, "functions": [{"type": "modular", '
+             '"values": [1e308, 1e308]}]}',
+             "values total is not finite"),
         ],
     )
     def test_parse_errors(self, text, message):

@@ -1,4 +1,4 @@
-"""Local-search kernel tests: gains, actions, scoring, top-l selection."""
+"""Local-search kernel tests: gains, moves, scoring, top-l selection."""
 
 import itertools
 import random
@@ -8,12 +8,8 @@ import pytest
 from twostage.exceptions import PreconditionError
 from twostage.functions import Coverage, Modular, Oracle
 from twostage.local_search import (
-    ADD,
-    NOOP,
-    SWAP,
     GainAction,
     ScoredItem,
-    apply_action,
     local_gain,
     score_items,
     select_top_l,
@@ -28,61 +24,57 @@ class TestSwapGain:
     def test_path_cut_swap_in_the_middle(self):
         # f({1}) - f({0}) = 1 beats adding 1 to {0}, which gains nothing.
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        assert local_gain(oracle, 1, {0}, 2) == GainAction(1.0, SWAP, 0)
+        assert local_gain(oracle, 1, {0}, 2) == GainAction(1.0, frozenset({1}))
 
     def test_path_cut_swap_out_of_the_middle(self):
         # Swapping 0 in for 1 and adding 0 both lose 1.
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        assert local_gain(oracle, 0, {1}, 2) == GainAction(0.0, NOOP)
+        assert local_gain(oracle, 0, {1}, 2) == GainAction(0.0, frozenset({1}))
 
     def test_dummy_swap_against_trim_stable_set_cannot_gain(self):
         # {1} is trim-stable for the path cut: removing 1 would drop 2 -> 0.
         oracle = Oracle(helpers.path_cut(), n=3, l=2)
-        assert local_gain(oracle, 3, {1}, 1) == GainAction(0.0, NOOP)
-        assert local_gain(oracle, 4, {1}, 2) == GainAction(0.0, NOOP)
-
-    def test_victim_must_be_member(self):
-        with pytest.raises(PreconditionError, match="swap victim 2 not in A"):
-            apply_action({0}, 1, GainAction(1.0, SWAP, 2))
+        assert local_gain(oracle, 3, {1}, 1) == GainAction(0.0, frozenset({1}))
+        assert local_gain(oracle, 4, {1}, 2) == GainAction(0.0, frozenset({1}))
 
     def test_candidate_must_be_outside(self):
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        assert local_gain(oracle, 0, {0, 1}, 2) == GainAction(0.0, NOOP)
+        assert local_gain(oracle, 0, {0, 1}, 2) == GainAction(0.0, frozenset({0, 1}))
         assert oracle.eval_count == 0
 
 
 class TestLocalGain:
     def test_member_item_is_noop(self):
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        assert local_gain(oracle, 1, {1}, 1) == GainAction(0.0, NOOP)
+        assert local_gain(oracle, 1, {1}, 1) == GainAction(0.0, frozenset({1}))
         assert oracle.eval_count == 0
 
     def test_full_set_swap(self):
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        assert local_gain(oracle, 1, {0}, 1) == GainAction(1.0, SWAP, 0)
+        assert local_gain(oracle, 1, {0}, 1) == GainAction(1.0, frozenset({1}))
 
     def test_empty_set_add(self):
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        assert local_gain(oracle, 1, set(), 1) == GainAction(2.0, ADD)
+        assert local_gain(oracle, 1, set(), 1) == GainAction(2.0, frozenset({1}))
 
     def test_room_prefers_strictly_better_add(self):
         oracle = Oracle(helpers.zoo_coverage(), n=3, l=2)
-        assert local_gain(oracle, 1, {0}, 2) == GainAction(1.0, ADD)
+        assert local_gain(oracle, 1, {0}, 2) == GainAction(1.0, frozenset({0, 1}))
 
     def test_tied_add_and_swap_resolves_to_swap(self):
         # Item 0 covers {0,1}, item 1 covers {0}: adding 0 to {1} and swapping
         # 0 for 1 both gain exactly 1, so the swap wins the tie.
         cov = Coverage((1.0, 1.0), (frozenset({0, 1}), frozenset({0})))
         oracle = Oracle(cov, n=2, l=0)
-        assert local_gain(oracle, 0, {1}, 2) == GainAction(1.0, SWAP, 1)
+        assert local_gain(oracle, 0, {1}, 2) == GainAction(1.0, frozenset({0}))
 
     def test_victim_tie_breaks_to_smallest_id(self):
         oracle = Oracle(Modular((1.0, 1.0, 3.0)), n=3, l=0)
-        assert local_gain(oracle, 2, {0, 1}, 2) == GainAction(2.0, SWAP, 0)
+        assert local_gain(oracle, 2, {0, 1}, 2) == GainAction(2.0, frozenset({1, 2}))
 
     def test_negative_moves_collapse_to_noop(self):
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
-        assert local_gain(oracle, 0, {1}, 1) == GainAction(0.0, NOOP)
+        assert local_gain(oracle, 0, {1}, 1) == GainAction(0.0, frozenset({1}))
 
     def test_oversized_set_rejected(self):
         oracle = Oracle(helpers.path_cut(), n=3, l=0)
@@ -166,10 +158,7 @@ class TestKernelProperties:
             descriptor, n, l, x, A, k = _random_case(rng)
             oracle = Oracle(descriptor, n, l)
             got = local_gain(oracle, x, A, k)
-            gain, kind, victim = helpers.expected_local_gain(descriptor, x, A, k)
-            assert got.gain == gain
-            assert got.kind == kind
-            assert got.victim == victim
+            assert (got.gain, got.after) == helpers.expected_local_gain(descriptor, x, A, k)
 
     def test_action_replay_changes_value_by_exactly_gain(self):
         rng = random.Random(43)
@@ -177,14 +166,13 @@ class TestKernelProperties:
         for _ in range(300):
             descriptor, n, l, x, A, k = _random_case(rng)
             oracle = Oracle(descriptor, n, l)
-            action = local_gain(oracle, x, A, k)
-            after = apply_action(A, x, action)
-            assert len(after) <= k
-            if action.kind == NOOP:
-                assert after == frozenset(A)
+            move = local_gain(oracle, x, A, k)
+            assert len(move.after) <= k
+            if move.gain == 0.0:
+                assert move.after == frozenset(A)
             else:
                 seen_moves += 1
-                assert descriptor.value(after) - descriptor.value(A) == action.gain
+                assert descriptor.value(move.after) - descriptor.value(A) == move.gain
         assert seen_moves > 50
 
     def test_scores_are_nonnegative(self):

@@ -20,8 +20,7 @@ EXPECTED = {
     "Instance", "parse_instance", "serialize_instance", "generate_instance",
     "GENERATOR_KINDS",
     # local_search
-    "NOOP", "ADD", "SWAP", "GainAction", "ScoredItem", "local_gain", "apply_action",
-    "score_items", "select_top_l",
+    "GainAction", "ScoredItem", "local_gain", "score_items", "select_top_l",
     # solver
     "RoundState", "TwoStageSolution", "trim", "apply_candidate", "sampling_greedy",
     "replacement_greedy", "feasible_sets_value",
