@@ -131,11 +131,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     S = _parse_item_set(args.items)
     for x in S:
-        if not 0 <= x < instance.n + instance.l:
-            raise ValidationError(
-                f"item {x} out of range, ground set has {instance.n} real "
-                f"and {instance.l} dummy ids"
-            )
+        if not 0 <= x < instance.n:
+            raise ValidationError(f"item {x} out of range, ground set has {instance.n} items")
     if args.f_eval == "exact":
         result = evaluate_F_exact(instance, S)
         value, witnesses = result.value, result.witness

@@ -1,16 +1,15 @@
 """Submodular function zoo and the counting evaluation oracle.
 
-Items are plain integers.  A ground set of ``n`` real items is extended by
-``l`` dummy ids ``n .. n+l-1`` that every function ignores, so a selection
-round is allowed to pick "nothing".  Complexity accounting is done in oracle
-calls, hence every evaluation goes through :class:`Oracle`, which counts.
+Items are plain integers ``0 .. n-1``.  Complexity accounting is done in
+oracle calls, hence every evaluation goes through :class:`Oracle`, which
+counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, Iterable
 
 from .exceptions import PreconditionError, ValidationError
 
@@ -36,8 +35,8 @@ def _check_weight(label: str, w: object) -> float:
     return w
 
 
-def _check_total(label: str, weights: tuple[float, ...]) -> None:
-    # Every value sums a subset of these weights, and fsum raises rather than
+def _check_total(label: str, weights: Iterable[float]) -> None:
+    # No value exceeds the sum of these weights, and fsum raises rather than
     # return inf, so a finite total keeps every value() call finite.
     try:
         math.fsum(weights)
@@ -90,6 +89,7 @@ class Coverage:
     def value(self, items: Collection[int]) -> float:
         n = len(self.covers)
         covered: set[int] = set()
+        # Ids from n on are skipped, so a set carrying a solver dummy has a value.
         for x in items:
             if x < n:
                 covered |= self.covers[x]
@@ -132,6 +132,8 @@ class FacilityLocation:
                     f"similarity row {c} has length {len(checked)}, expected {width}"
                 )
             rows.append(checked)
+        # A value sums at most each client's best similarity.
+        _check_total("similarity row maxima", (max(r, default=0.0) for r in rows))
         object.__setattr__(self, "similarity", tuple(rows))
 
     def validate_for(self, n: int) -> None:
@@ -145,6 +147,7 @@ class FacilityLocation:
         if not self.similarity:
             return 0.0
         n = len(self.similarity[0])
+        # Ids from n on are skipped, so a set carrying a solver dummy has a value.
         selected = [x for x in items if x < n]
         if not selected:
             return 0.0
@@ -180,6 +183,7 @@ class GraphCut:
             if u == v:
                 raise ValidationError(f"edges[{i}] is a self-loop on vertex {u}")
             normalized.append((u, v, _check_weight(f"edges[{i}] weight", w)))
+        _check_total("edge weight", (w for _, _, w in normalized))
         object.__setattr__(self, "edges", tuple(normalized))
 
     def validate_for(self, n: int) -> None:
@@ -190,7 +194,7 @@ class GraphCut:
                 )
 
     def value(self, items: Collection[int]) -> float:
-        # Dummy ids are never edge endpoints, so they drop out for free.
+        # Ids from n on are never endpoints, so a solver dummy adds nothing.
         return float(
             sum(w for u, v, w in self.edges if (u in items) != (v in items))
         )
@@ -225,6 +229,7 @@ class Modular:
 
     def value(self, items: Collection[int]) -> float:
         n = len(self.values)
+        # Ids from n on are skipped, so a set carrying a solver dummy has a value.
         return math.fsum(self.values[x] for x in items if x < n)
 
     def to_json(self) -> dict:
@@ -280,25 +285,21 @@ def descriptor_from_json(obj: object) -> FunctionDescriptor:
 
 
 class Oracle:
-    """Evaluation oracle for one descriptor over an extended ground set.
+    """Evaluation oracle for one descriptor over the ground set ``0 .. n-1``.
 
-    Wraps a descriptor with the (n, l) geometry, validates item ids, and
+    Wraps a descriptor with its ground-set size, validates item ids, and
     counts every evaluation.  An oracle belongs to one solve or one report:
     ``Instance.oracles()`` builds fresh ones each time, and none is shared.
     """
 
-    __slots__ = ("descriptor", "n", "l", "_limit", "_count")
+    __slots__ = ("descriptor", "n", "_count")
 
-    def __init__(self, descriptor: FunctionDescriptor, n: int, l: int) -> None:
+    def __init__(self, descriptor: FunctionDescriptor, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValidationError("n must be a positive integer")
-        if not isinstance(l, int) or isinstance(l, bool) or l < 0:
-            raise ValidationError("l must be a non-negative integer")
         descriptor.validate_for(n)
         self.descriptor = descriptor
         self.n = n
-        self.l = l
-        self._limit = n + l
         self._count = 0
 
     @property
@@ -307,11 +308,9 @@ class Oracle:
 
     def eval(self, items: Collection[int]) -> float:
         """Value of the item set.  Counts as one oracle call."""
-        limit = self._limit
+        n = self.n
         for x in items:
-            if not 0 <= x < limit:
-                raise PreconditionError(
-                    f"item {x} out of range, ground set has {self.n} real and {self.l} dummy ids"
-                )
+            if not 0 <= x < n:
+                raise PreconditionError(f"item {x} out of range, ground set has {n} items")
         self._count += 1
         return self.descriptor.value(items)

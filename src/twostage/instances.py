@@ -59,14 +59,9 @@ class Instance:
     def m(self) -> int:
         return len(self.functions)
 
-    @property
-    def all_ids(self) -> range:
-        """Real items extended by the l dummy ids."""
-        return range(self.n + self.l)
-
     def oracles(self) -> list[Oracle]:
-        """Fresh counting oracles over this instance's extended ground set."""
-        return [Oracle(f, self.n, self.l) for f in self.functions]
+        """Fresh counting oracles over this instance's ground set."""
+        return [Oracle(f, self.n) for f in self.functions]
 
 
 def parse_instance(text: bytes | str) -> Instance:

@@ -82,8 +82,7 @@ def evaluate_F_exact(instance: Instance, S: Iterable[int]) -> ExactResult:
     """Exact two-stage value of the reduced set S by per-function enumeration.
 
     Guarded: refuses when one function would need more than 10^6 subset
-    evaluations.  A dummy-free witness always wins ties, because dropping a
-    dummy never changes the value and shortens the tuple.
+    evaluations.
     """
     S = frozenset(S)
     cost = exact_eval_cost(len(S), instance.k)
@@ -150,11 +149,9 @@ def evaluate_F_greedy(instance: Instance, S: Iterable[int]) -> float:
 
 
 def brute_force_optimum(instance: Instance) -> ExactResult:
-    """Optimal reduced set by enumerating every real-item S with |S| <= l.
+    """Optimal reduced set by enumerating every S with |S| <= l.
 
-    Dummies are skipped outright: they never change any value, so an optimum
-    over real items is an optimum over the extended ground set too.  Ties
-    resolve to the lexicographically smallest S.
+    Ties resolve to the lexicographically smallest S.
     """
     cost = brute_force_cost(instance)
     if cost > BRUTE_FORCE_GUARD:

@@ -1,11 +1,13 @@
 """Randomized greedy ground-set reduction with trimming.
 
-Over l rounds, every extended item (real or dummy) is scored by its total
+Over l rounds, every real item not yet selected is scored by its total
 local-search gain against the current per-function feasible sets, one of the
-top l not-yet-selected candidates is drawn uniformly, and each feasible set
-that strictly benefits absorbs the pick and is trimmed back to a state where
-no member hurts.  Dummy ids let a round select "nothing"; they stay in S for
-budget accounting during the run and are stripped from the returned solution.
+top l candidates is drawn uniformly, and each feasible set that strictly
+benefits absorbs the pick and is trimmed back to a state where no member
+hurts.  The shortlist is padded with l dummy ids ``n .. n+l-1`` that score 0
+without an oracle call, so a round may select "nothing"; a drawn dummy stays
+in S for budget accounting during the run and is stripped from the returned
+solution.  No oracle ever sees a dummy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .functions import Oracle
 from .instances import Instance
-from .local_search import local_gain, score_items, select_top_l
+from .local_search import ScoredItem, local_gain, score_items, select_top_l
 
 __all__ = [
     "RoundState",
@@ -81,17 +83,20 @@ def _greedy_rounds(
     on_round: Callable[[RoundState], None] | None,
     seed: int | None,
 ) -> TwoStageSolution:
+    n, k, l = instance.n, instance.k, instance.l
     oracles = instance.oracles()
     S: set[int] = set()
     Ts: list[frozenset[int]] = [frozenset() for _ in oracles]
-    universe = instance.all_ids
-    for round_index in range(1, instance.l + 1):
-        scores = score_items(oracles, Ts, universe, instance.k)
-        candidates = [s for s in scores if s.item not in S]
-        M = select_top_l(candidates, top)
+    for round_index in range(1, l + 1):
+        unpicked = [x for x in range(n) if x not in S]
+        # A dummy leaves every set as it is, so it scores 0; real ids are
+        # smaller, so it enters M only when fewer than top real items remain.
+        dummies = [ScoredItem(d, 0.0) for d in range(n, n + l) if d not in S]
+        M = select_top_l(score_items(oracles, Ts, unpicked, k) + dummies, top)
         x_star = pick(sorted(M))
         S.add(x_star)
-        Ts = [apply_candidate(f, T, x_star, instance.k) for f, T in zip(oracles, Ts)]
+        if x_star < n:
+            Ts = [apply_candidate(f, T, x_star, k) for f, T in zip(oracles, Ts)]
         if on_round is not None:
             on_round(
                 RoundState(
@@ -101,7 +106,7 @@ def _greedy_rounds(
                     sum(o.eval_count for o in oracles),
                 )
             )
-    real = frozenset(x for x in S if x < instance.n)
+    real = frozenset(x for x in S if x < n)
     return TwoStageSolution(real, tuple(Ts), sum(o.eval_count for o in oracles), seed)
 
 
@@ -112,10 +117,10 @@ def sampling_greedy(
 ) -> TwoStageSolution:
     """Run l rounds of randomized top-l candidate sampling with trimming.
 
-    Each round scores the full extended ground set, keeps the l best-scoring
-    items not yet selected (score ties to smaller ids, so dummies fill in only
-    when nothing real competes), draws one uniformly with the seeded
-    generator, and updates every feasible set that strictly gains.  Identical
+    Each round scores the real items not yet selected, keeps the l
+    best-scoring candidates (score ties to smaller ids, so dummies fill in
+    only when fewer than l real items remain), draws one uniformly with the
+    seeded generator, and updates every feasible set that strictly gains.  Identical
     (instance, seed) pairs give identical output.
     """
     rng = random.Random(seed)

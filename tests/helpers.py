@@ -145,24 +145,14 @@ def expected_local_gain(descriptor, x: int, A: frozenset[int], k: int):
 def nonnegativity_violations(oracle, rng: random.Random, trials: int) -> int:
     bad = 0
     for _ in range(trials):
-        A = random_subset(rng, range(oracle.n + oracle.l))
+        A = random_subset(rng, range(oracle.n))
         if oracle.eval(A) < 0:
             bad += 1
     return bad
 
 
-def dummy_transparency_violations(oracle, rng: random.Random, trials: int) -> int:
-    bad = 0
-    for _ in range(trials):
-        A = random_subset(rng, range(oracle.n + oracle.l))
-        d = rng.randrange(oracle.n, oracle.n + oracle.l)
-        if oracle.eval(A | {d}) != oracle.eval(A - {d}):
-            bad += 1
-    return bad
-
-
 def submodularity_violations(oracle, rng: random.Random, trials: int, eps: float = 1e-9) -> int:
-    ids = range(oracle.n + oracle.l)
+    ids = range(oracle.n)
     bad = 0
     for _ in range(trials):
         x = rng.choice(ids)
@@ -175,7 +165,7 @@ def submodularity_violations(oracle, rng: random.Random, trials: int, eps: float
 
 
 def monotonicity_violations(oracle, rng: random.Random, trials: int, eps: float = 1e-9) -> int:
-    ids = range(oracle.n + oracle.l)
+    ids = range(oracle.n)
     bad = 0
     for _ in range(trials):
         x = rng.choice(ids)

@@ -94,8 +94,8 @@ def test_criterion_3_trim_guarantees():
         kind = rng.choice(sorted(helpers.DESCRIPTOR_BUILDERS))
         n = rng.randrange(2, 8)
         descriptor = helpers.random_descriptor(rng, kind, n)
-        oracle = Oracle(descriptor, n, 2)
-        B = helpers.random_subset(rng, range(n + 2))
+        oracle = Oracle(descriptor, n)
+        B = helpers.random_subset(rng, range(n))
         A = trim(oracle, B)
         if descriptor.value(A) < descriptor.value(B):
             violations += 1
@@ -116,9 +116,9 @@ def test_criterion_4_local_gain_equivalence():
         kind = rng.choice(sorted(helpers.DESCRIPTOR_BUILDERS))
         n = rng.randrange(2, 8)
         descriptor = helpers.random_descriptor(rng, kind, n)
-        oracle = Oracle(descriptor, n, 2)
-        x = rng.randrange(n + 2)
-        A = helpers.random_subset(rng, [y for y in range(n + 2) if y != x], max_size=4)
+        oracle = Oracle(descriptor, n)
+        x = rng.randrange(n)
+        A = helpers.random_subset(rng, [y for y in range(n) if y != x], max_size=4)
         k = max(1, len(A)) + rng.randrange(0, 3)
         # x is never in A, so no-op, add and each swap victim produce
         # distinct sets: comparing the set pins the chosen move exactly.
@@ -164,7 +164,7 @@ def test_criterion_6_function_zoo_properties():
         submodular = nonneg = 0
         for _ in range(20):
             n = rng.randrange(2, 9)
-            oracle = Oracle(helpers.random_descriptor(rng, kind, n), n, 2)
+            oracle = Oracle(helpers.random_descriptor(rng, kind, n), n)
             submodular += helpers.submodularity_violations(oracle, rng, 50, eps=1e-9)
             nonneg += helpers.nonnegativity_violations(oracle, rng, 50)
         bad[kind] = submodular + nonneg

@@ -167,6 +167,9 @@ class TestEval:
         path = self.write_zoo(tmp_path)
         assert main(["eval", "--instance", str(path), "--set", "9"]) == 2
         assert "out of range" in capsys.readouterr().err
+        # Id n (3 here) is the solver's first dummy, out of range like any other.
+        assert main(["eval", "--instance", str(path), "--set", "0,3"]) == 2
+        assert "item 3 out of range, ground set has 3 items" in capsys.readouterr().err
 
     def test_guard_exit_3(self, tmp_path, capsys):
         instance = run_gen(tmp_path, kind="coverage", n=50, m=1, k=6, l=1)

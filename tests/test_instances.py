@@ -58,7 +58,7 @@ class TestValidation:
         instance = small_instance()
         assert instance.m == 2
         assert instance.n == 3 and instance.l == 2
-        assert list(instance.all_ids) == [0, 1, 2, 3, 4]
+        assert [o.n for o in instance.oracles()] == [3, 3]
 
     def test_oracles_are_fresh_and_ordered(self):
         instance = small_instance()
@@ -120,6 +120,12 @@ class TestJsonRoundTrip:
             ('{"n": 2, "k": 1, "l": 1, "functions": [{"type": "modular", '
              '"values": [1e308, 1e308]}]}',
              "values total is not finite"),
+            ('{"n": 3, "k": 1, "l": 1, "functions": [{"type": "graph_cut", '
+             '"edges": [[0, 1, 1e308], [0, 2, 1e308]]}]}',
+             "edge weight total is not finite"),
+            ('{"n": 1, "k": 1, "l": 1, "functions": [{"type": "facility_location", '
+             '"similarity": [[1e308], [1e308]]}]}',
+             "similarity row maxima total is not finite"),
         ],
     )
     def test_parse_errors(self, text, message):

@@ -23,101 +23,85 @@ class TestSwapGain:
 
     def test_path_cut_swap_in_the_middle(self):
         # f({1}) - f({0}) = 1 beats adding 1 to {0}, which gains nothing.
-        oracle = Oracle(helpers.path_cut(), n=3, l=0)
+        oracle = Oracle(helpers.path_cut(), n=3)
         assert local_gain(oracle, 1, {0}, 2) == GainAction(1.0, frozenset({1}))
 
     def test_path_cut_swap_out_of_the_middle(self):
         # Swapping 0 in for 1 and adding 0 both lose 1.
-        oracle = Oracle(helpers.path_cut(), n=3, l=0)
+        oracle = Oracle(helpers.path_cut(), n=3)
         assert local_gain(oracle, 0, {1}, 2) == GainAction(0.0, frozenset({1}))
 
-    def test_dummy_swap_against_trim_stable_set_cannot_gain(self):
-        # {1} is trim-stable for the path cut: removing 1 would drop 2 -> 0.
-        oracle = Oracle(helpers.path_cut(), n=3, l=2)
-        assert local_gain(oracle, 3, {1}, 1) == GainAction(0.0, frozenset({1}))
-        assert local_gain(oracle, 4, {1}, 2) == GainAction(0.0, frozenset({1}))
-
     def test_candidate_must_be_outside(self):
-        oracle = Oracle(helpers.path_cut(), n=3, l=0)
+        oracle = Oracle(helpers.path_cut(), n=3)
         assert local_gain(oracle, 0, {0, 1}, 2) == GainAction(0.0, frozenset({0, 1}))
         assert oracle.eval_count == 0
 
 
 class TestLocalGain:
     def test_member_item_is_noop(self):
-        oracle = Oracle(helpers.path_cut(), n=3, l=0)
+        oracle = Oracle(helpers.path_cut(), n=3)
         assert local_gain(oracle, 1, {1}, 1) == GainAction(0.0, frozenset({1}))
         assert oracle.eval_count == 0
 
     def test_full_set_swap(self):
-        oracle = Oracle(helpers.path_cut(), n=3, l=0)
+        oracle = Oracle(helpers.path_cut(), n=3)
         assert local_gain(oracle, 1, {0}, 1) == GainAction(1.0, frozenset({1}))
 
     def test_empty_set_add(self):
-        oracle = Oracle(helpers.path_cut(), n=3, l=0)
+        oracle = Oracle(helpers.path_cut(), n=3)
         assert local_gain(oracle, 1, set(), 1) == GainAction(2.0, frozenset({1}))
 
     def test_room_prefers_strictly_better_add(self):
-        oracle = Oracle(helpers.zoo_coverage(), n=3, l=2)
+        oracle = Oracle(helpers.zoo_coverage(), n=3)
         assert local_gain(oracle, 1, {0}, 2) == GainAction(1.0, frozenset({0, 1}))
 
     def test_tied_add_and_swap_resolves_to_swap(self):
         # Item 0 covers {0,1}, item 1 covers {0}: adding 0 to {1} and swapping
         # 0 for 1 both gain exactly 1, so the swap wins the tie.
         cov = Coverage((1.0, 1.0), (frozenset({0, 1}), frozenset({0})))
-        oracle = Oracle(cov, n=2, l=0)
+        oracle = Oracle(cov, n=2)
         assert local_gain(oracle, 0, {1}, 2) == GainAction(1.0, frozenset({0}))
 
     def test_victim_tie_breaks_to_smallest_id(self):
-        oracle = Oracle(Modular((1.0, 1.0, 3.0)), n=3, l=0)
+        oracle = Oracle(Modular((1.0, 1.0, 3.0)), n=3)
         assert local_gain(oracle, 2, {0, 1}, 2) == GainAction(2.0, frozenset({1, 2}))
 
     def test_negative_moves_collapse_to_noop(self):
-        oracle = Oracle(helpers.path_cut(), n=3, l=0)
+        oracle = Oracle(helpers.path_cut(), n=3)
         assert local_gain(oracle, 0, {1}, 1) == GainAction(0.0, frozenset({1}))
 
     def test_oversized_set_rejected(self):
-        oracle = Oracle(helpers.path_cut(), n=3, l=0)
+        oracle = Oracle(helpers.path_cut(), n=3)
         with pytest.raises(PreconditionError, match="feasible set has 2 items, budget k=1"):
             local_gain(oracle, 2, {0, 1}, 1)
 
 
 class TestScoreItems:
-    def test_zoo_coverage_scores_with_dummy(self):
-        oracle = Oracle(helpers.zoo_coverage(), n=3, l=1)
-        scores = score_items([oracle], [set()], {0, 1, 2, 3}, k=1)
-        assert scores == [
-            ScoredItem(0, 2.0),
-            ScoredItem(1, 2.0),
-            ScoredItem(2, 1.0),
-            ScoredItem(3, 0.0),
-        ]
+    def test_zoo_coverage_scores(self):
+        oracle = Oracle(helpers.zoo_coverage(), n=3)
+        scores = score_items([oracle], [set()], {0, 1, 2}, k=1)
+        assert scores == [ScoredItem(0, 2.0), ScoredItem(1, 2.0), ScoredItem(2, 1.0)]
 
     def test_member_of_every_set_scores_zero(self):
-        fs = [Oracle(helpers.zoo_coverage(), 3, 1), Oracle(Modular((9.0, 1.0, 1.0)), 3, 1)]
+        fs = [Oracle(helpers.zoo_coverage(), 3), Oracle(Modular((9.0, 1.0, 1.0)), 3)]
         scores = score_items(fs, [{0}, {0}], {0}, k=1)
         assert scores == [ScoredItem(0, 0.0)]
 
-    def test_all_dummy_universe_scores_zero_against_trimmed_sets(self):
-        oracle = Oracle(helpers.path_cut(), n=3, l=2)
-        scores = score_items([oracle], [{1}], {3, 4}, k=1)
-        assert scores == [ScoredItem(3, 0.0), ScoredItem(4, 0.0)]
-
     def test_length_mismatch_rejected(self):
-        oracle = Oracle(helpers.path_cut(), n=3, l=0)
+        oracle = Oracle(helpers.path_cut(), n=3)
         with pytest.raises(PreconditionError, match="length mismatch: 1 vs 2"):
             score_items([oracle], [set(), set()], {0}, k=1)
 
     def test_base_value_cached_once_per_function(self):
-        oracle = Oracle(helpers.zoo_coverage(), n=3, l=1)
-        score_items([oracle], [set()], {0, 1, 2, 3}, k=1)
-        # 1 base evaluation + 4 items with an empty set: one add probe each.
-        assert oracle.eval_count == 5
+        oracle = Oracle(helpers.zoo_coverage(), n=3)
+        score_items([oracle], [set()], {0, 1, 2}, k=1)
+        # 1 base evaluation + 3 items with an empty set: one add probe each.
+        assert oracle.eval_count == 4
 
-        full = Oracle(helpers.zoo_coverage(), n=3, l=1)
-        score_items([full], [{0}], {0, 1, 2, 3}, k=1)
-        # 1 base + three non-members, each probing a single swap.
-        assert full.eval_count == 4
+        full = Oracle(helpers.zoo_coverage(), n=3)
+        score_items([full], [{0}], {0, 1, 2}, k=1)
+        # 1 base + two non-members, each probing a single swap.
+        assert full.eval_count == 3
 
 
 class TestSelectTopL:
@@ -141,13 +125,11 @@ class TestSelectTopL:
 def _random_case(rng):
     kind = rng.choice(sorted(helpers.DESCRIPTOR_BUILDERS))
     n = rng.randrange(2, 7)
-    l = rng.randrange(0, 3)
     descriptor = helpers.random_descriptor(rng, kind, n)
     k = rng.randrange(1, 5)
-    ids = range(n + l)
-    A = helpers.random_subset(rng, ids, max_size=min(4, k))
-    x = rng.choice(sorted(ids))
-    return descriptor, n, l, x, A, k
+    A = helpers.random_subset(rng, range(n), max_size=min(4, k))
+    x = rng.randrange(n)
+    return descriptor, n, x, A, k
 
 
 class TestKernelProperties:
@@ -155,8 +137,8 @@ class TestKernelProperties:
         """Spot version of the acceptance equivalence sweep (300 cases)."""
         rng = random.Random(42)
         for _ in range(300):
-            descriptor, n, l, x, A, k = _random_case(rng)
-            oracle = Oracle(descriptor, n, l)
+            descriptor, n, x, A, k = _random_case(rng)
+            oracle = Oracle(descriptor, n)
             got = local_gain(oracle, x, A, k)
             assert (got.gain, got.after) == helpers.expected_local_gain(descriptor, x, A, k)
 
@@ -164,8 +146,8 @@ class TestKernelProperties:
         rng = random.Random(43)
         seen_moves = 0
         for _ in range(300):
-            descriptor, n, l, x, A, k = _random_case(rng)
-            oracle = Oracle(descriptor, n, l)
+            descriptor, n, x, A, k = _random_case(rng)
+            oracle = Oracle(descriptor, n)
             move = local_gain(oracle, x, A, k)
             assert len(move.after) <= k
             if move.gain == 0.0:
@@ -182,11 +164,11 @@ class TestKernelProperties:
             m = rng.randrange(1, 4)
             k = rng.randrange(1, 3)
             fs = [
-                Oracle(helpers.random_descriptor(rng, rng.choice(sorted(helpers.DESCRIPTOR_BUILDERS)), n), n, 2)
+                Oracle(helpers.random_descriptor(rng, rng.choice(sorted(helpers.DESCRIPTOR_BUILDERS)), n), n)
                 for _ in range(m)
             ]
             Ts = [helpers.random_subset(rng, range(n), max_size=k) for _ in range(m)]
-            for scored in score_items(fs, Ts, range(n + 2), k):
+            for scored in score_items(fs, Ts, range(n), k):
                 assert scored.total_score >= 0.0
 
     def test_top_l_sum_equals_enumerated_maximum(self):

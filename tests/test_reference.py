@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from twostage.exceptions import GuardExceededError
+from twostage.exceptions import GuardExceededError, PreconditionError
 from twostage.functions import Coverage, Modular
 from twostage.instances import Instance, generate_instance
 from twostage.reference import (
@@ -44,10 +44,10 @@ class TestEvaluateFExact:
         assert result.witness == (frozenset({0}), frozenset({1}))
 
     def test_witness_never_contains_a_dummy(self):
-        # Dummy 3 in S ties every witness it joins; the dummy-free one is
-        # lexicographically smaller and must win.
-        result = evaluate_F_exact(zoo_instance(k=2), {0, 3})
-        assert result.witness == (frozenset({0}),)
+        # Dummy ids start at n and stay inside the solver: evaluation rejects
+        # one rather than enumerate witnesses around it.
+        with pytest.raises(PreconditionError, match="item 3 out of range"):
+            evaluate_F_exact(zoo_instance(k=2), {0, 3})
 
     def test_guard_refuses_oversized_enumeration(self):
         instance = Instance(50, 6, 10, (Modular(tuple(float(i) for i in range(50))),))
@@ -137,6 +137,13 @@ class TestReplacementGreedy:
         assert solution.S == {0, 1}
         assert solution.Ts == (frozenset({0}),)
         assert solution.seed is None
+
+    def test_zoo_coverage_eval_count(self):
+        # Round 1 scores items 0-2 against the empty set (1 base + 3 adds),
+        # then absorbs 0 (base + add) and trims {0} (base + 1 removal): 8.
+        # Round 2 scores only 1 and 2 against {0} (1 base + 2 swaps), then
+        # finds that item 1 does not gain (base + 1 swap): 5 more.
+        assert replacement_greedy(zoo_instance()).evals == 13
 
     def test_matches_sampling_when_every_round_is_forced(self):
         instance = Instance(3, 1, 1, (helpers.zoo_coverage(),))
