@@ -30,7 +30,6 @@ from .harness import (
     RunConfig,
     TrialRecord,
     evaluate_reported_F,
-    render_csv,
     run_experiment,
     write_csv,
 )
@@ -119,6 +118,5 @@ __all__ = [
     "evaluate_reported_F",
     "run_experiment",
     "write_csv",
-    "render_csv",
     "__version__",
 ]

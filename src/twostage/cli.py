@@ -182,10 +182,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read config file {args.config}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config is not UTF-8: {exc}") from exc
     try:
         entries = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("config JSON is nested too deeply") from exc
     if not isinstance(entries, list):
         raise ValidationError("bench config must be a JSON array")
 

@@ -89,7 +89,7 @@ class Coverage:
     def value(self, items: Collection[int]) -> float:
         n = len(self.covers)
         covered: set[int] = set()
-        # Ids from n on are skipped, so a set carrying a solver dummy has a value.
+        # Ids from n on are skipped: perfbench --smoke values a set carrying id n.
         for x in items:
             if x < n:
                 covered |= self.covers[x]
@@ -147,7 +147,7 @@ class FacilityLocation:
         if not self.similarity:
             return 0.0
         n = len(self.similarity[0])
-        # Ids from n on are skipped, so a set carrying a solver dummy has a value.
+        # Ids from n on are skipped: perfbench --smoke values a set carrying id n.
         selected = [x for x in items if x < n]
         if not selected:
             return 0.0
@@ -194,7 +194,7 @@ class GraphCut:
                 )
 
     def value(self, items: Collection[int]) -> float:
-        # Ids from n on are never endpoints, so a solver dummy adds nothing.
+        # Ids from n on are never endpoints: perfbench --smoke values a set carrying id n.
         return float(
             sum(w for u, v, w in self.edges if (u in items) != (v in items))
         )
@@ -229,7 +229,7 @@ class Modular:
 
     def value(self, items: Collection[int]) -> float:
         n = len(self.values)
-        # Ids from n on are skipped, so a set carrying a solver dummy has a value.
+        # Ids from n on are skipped: perfbench --smoke values a set carrying id n.
         return math.fsum(self.values[x] for x in items if x < n)
 
     def to_json(self) -> dict:

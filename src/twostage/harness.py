@@ -11,7 +11,6 @@ the order in which records are passed in.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import statistics
 import time
@@ -41,7 +40,6 @@ __all__ = [
     "evaluate_reported_F",
     "run_experiment",
     "write_csv",
-    "render_csv",
 ]
 
 ALGORITHMS = ("sampling_greedy", "replacement_greedy", "random_baseline", "brute_force")
@@ -268,9 +266,3 @@ def write_csv(records: Iterable[TrialRecord], fp: TextIO) -> None:
     ):
         for row in _aggregate_rows(instance_id, algorithm, list(group)):
             writer.writerow(row)
-
-
-def render_csv(records: Iterable[TrialRecord]) -> str:
-    buffer = io.StringIO()
-    write_csv(records, buffer)
-    return buffer.getvalue()

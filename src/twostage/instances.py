@@ -75,6 +75,8 @@ def parse_instance(text: bytes | str) -> Instance:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"instance is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("instance JSON is nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ValidationError("instance must be a JSON object")
     unknown = sorted(set(obj) - set(_INSTANCE_FIELDS))

@@ -1,13 +1,12 @@
 """Randomized greedy ground-set reduction with trimming.
 
-Over l rounds, every real item not yet selected is scored by its total
-local-search gain against the current per-function feasible sets, one of the
-top l candidates is drawn uniformly, and each feasible set that strictly
-benefits absorbs the pick and is trimmed back to a state where no member
-hurts.  The shortlist is padded with l dummy ids ``n .. n+l-1`` that score 0
-without an oracle call, so a round may select "nothing"; a drawn dummy stays
-in S for budget accounting during the run and is stripped from the returned
-solution.  No oracle ever sees a dummy.
+Over l rounds, every item not yet selected is scored by its total
+local-search gain against the current per-function feasible sets, and one of
+l slots is drawn uniformly.  The slots hold the top-l candidates in id order;
+when fewer than l items remain, the slots past them are blank and a round
+that draws one selects nothing.  Each feasible set that strictly benefits
+from the pick absorbs it and is trimmed back to a state where no member
+hurts.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .functions import Oracle
 from .instances import Instance
-from .local_search import ScoredItem, local_gain, score_items, select_top_l
+from .local_search import local_gain, score_items, select_top_l
 
 __all__ = [
     "RoundState",
@@ -33,7 +32,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RoundState:
-    """Snapshot handed to an observer after each solver round completes."""
+    """Snapshot handed to an observer after each solver round completes.
+
+    S holds the items selected so far; after a blank round it and every
+    feasible set equal the previous snapshot's."""
 
     round_index: int
     S: frozenset[int]
@@ -43,8 +45,9 @@ class RoundState:
 
 @dataclass(frozen=True)
 class TwoStageSolution:
-    """Reduced set S (real items only), per-function feasible sets, and the
-    oracle-call count of the solve.  seed is None for deterministic runs."""
+    """Reduced set S (at most l items, fewer after blank rounds), per-function
+    feasible sets, and the oracle-call count of the solve.  seed is None for
+    deterministic runs."""
 
     S: frozenset[int]
     Ts: tuple[frozenset[int], ...]
@@ -78,25 +81,23 @@ def apply_candidate(f: Oracle, T: Iterable[int], x: int, k: int) -> frozenset[in
 
 def _greedy_rounds(
     instance: Instance,
-    pick: Callable[[Sequence[int]], int],
-    top: int,
+    rng: random.Random | None,
     on_round: Callable[[RoundState], None] | None,
     seed: int | None,
 ) -> TwoStageSolution:
     n, k, l = instance.n, instance.k, instance.l
+    top = l if rng is not None else 1
     oracles = instance.oracles()
     S: set[int] = set()
     Ts: list[frozenset[int]] = [frozenset() for _ in oracles]
     for round_index in range(1, l + 1):
         unpicked = [x for x in range(n) if x not in S]
-        # A dummy leaves every set as it is, so it scores 0; real ids are
-        # smaller, so it enters M only when fewer than top real items remain.
-        dummies = [ScoredItem(d, 0.0) for d in range(n, n + l) if d not in S]
-        M = select_top_l(score_items(oracles, Ts, unpicked, k) + dummies, top)
-        x_star = pick(sorted(M))
-        S.add(x_star)
-        if x_star < n:
-            Ts = [apply_candidate(f, T, x_star, k) for f, T in zip(oracles, Ts)]
+        M = sorted(select_top_l(score_items(oracles, Ts, unpicked, k), min(top, len(unpicked))))
+        slot = rng.randrange(top) if rng is not None else 0
+        # A slot past the remaining items is blank: S and every T stay as they are.
+        if slot < len(M):
+            S.add(M[slot])
+            Ts = [apply_candidate(f, T, M[slot], k) for f, T in zip(oracles, Ts)]
         if on_round is not None:
             on_round(
                 RoundState(
@@ -106,8 +107,7 @@ def _greedy_rounds(
                     sum(o.eval_count for o in oracles),
                 )
             )
-    real = frozenset(x for x in S if x < n)
-    return TwoStageSolution(real, tuple(Ts), sum(o.eval_count for o in oracles), seed)
+    return TwoStageSolution(frozenset(S), tuple(Ts), sum(o.eval_count for o in oracles), seed)
 
 
 def sampling_greedy(
@@ -117,16 +117,14 @@ def sampling_greedy(
 ) -> TwoStageSolution:
     """Run l rounds of randomized top-l candidate sampling with trimming.
 
-    Each round scores the real items not yet selected, keeps the l
-    best-scoring candidates (score ties to smaller ids, so dummies fill in
-    only when fewer than l real items remain), draws one uniformly with the
-    seeded generator, and updates every feasible set that strictly gains.  Identical
-    (instance, seed) pairs give identical output.
+    Each round scores the items not yet selected, keeps the l best-scoring
+    candidates (score ties to smaller ids), draws one of l slots uniformly
+    with the seeded generator, and updates every feasible set that strictly
+    gains.  When fewer than l items remain, some slots are blank and drawing
+    one selects nothing that round.  Identical (instance, seed) pairs give
+    identical output.
     """
-    rng = random.Random(seed)
-    return _greedy_rounds(
-        instance, lambda M: M[rng.randrange(len(M))], instance.l, on_round, seed
-    )
+    return _greedy_rounds(instance, random.Random(seed), on_round, seed)
 
 
 def replacement_greedy(
@@ -135,7 +133,7 @@ def replacement_greedy(
 ) -> TwoStageSolution:
     """Deterministic sibling of sampling_greedy: each round takes the single
     highest-scored remaining item instead of sampling from the top l."""
-    return _greedy_rounds(instance, lambda M: M[0], 1, on_round, None)
+    return _greedy_rounds(instance, None, on_round, None)
 
 
 def feasible_sets_value(instance: Instance, Ts: Sequence[Iterable[int]]) -> float:

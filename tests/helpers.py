@@ -7,9 +7,11 @@ evidence rather than tautology.
 
 from __future__ import annotations
 
+import io
 import random
 
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular
+from twostage.harness import write_csv
 
 
 def zoo_coverage() -> Coverage:
@@ -106,6 +108,13 @@ def random_subset(rng: random.Random, pool, max_size=None) -> frozenset[int]:
     top = len(pool) if max_size is None else min(max_size, len(pool))
     size = rng.randrange(0, top + 1)
     return frozenset(rng.sample(pool, size))
+
+
+def render_csv(records) -> str:
+    """The CSV that write_csv produces for records, as a string."""
+    buffer = io.StringIO()
+    write_csv(records, buffer)
+    return buffer.getvalue()
 
 
 def marginal(oracle, x: int, A) -> float:

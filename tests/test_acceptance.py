@@ -14,7 +14,7 @@ import statistics
 import pytest
 
 from twostage.functions import Oracle
-from twostage.harness import RunConfig, render_csv, run_experiment
+from twostage.harness import RunConfig, run_experiment
 from twostage.instances import generate_instance
 from twostage.local_search import ScoredItem, local_gain, select_top_l
 from twostage.solver import sampling_greedy, trim
@@ -180,7 +180,7 @@ def test_criterion_7_deterministic_csv():
     instance = generate_instance("mixed", 6, 3, 2, 3, seed=9)
 
     def stripped_csv(records):
-        lines = render_csv(records).splitlines()
+        lines = helpers.render_csv(records).splitlines()
         return "\n".join(line.rsplit(",", 1)[0] for line in lines)
 
     def run(trials, base_seed):

@@ -167,7 +167,7 @@ class TestEval:
         path = self.write_zoo(tmp_path)
         assert main(["eval", "--instance", str(path), "--set", "9"]) == 2
         assert "out of range" in capsys.readouterr().err
-        # Id n (3 here) is the solver's first dummy, out of range like any other.
+        # Id n (3 here), one past the ground set, is out of range like any other.
         assert main(["eval", "--instance", str(path), "--set", "0,3"]) == 2
         assert "item 3 out of range, ground set has 3 items" in capsys.readouterr().err
 
@@ -239,10 +239,15 @@ class TestBench:
 
     def test_non_array_config_exit_2(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
-        config.write_text("{}")
-        assert main(["bench", "--config", str(config),
-                     "--out", str(tmp_path / "x.csv")]) == 2
-        assert "must be a JSON array" in capsys.readouterr().err
+        for content, message in [
+            (b"{}", "must be a JSON array"),
+            (b"[" * 100000, "config JSON is nested too deeply"),
+            (b"\xff\xfe[]", "config is not UTF-8"),
+        ]:
+            config.write_bytes(content)
+            assert main(["bench", "--config", str(config),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+            assert message in capsys.readouterr().err
 
     def test_guard_exit_3(self, tmp_path, capsys):
         config = tmp_path / "big.json"

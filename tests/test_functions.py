@@ -122,7 +122,7 @@ class TestEval:
         oracle = Oracle(helpers.zoo_coverage(), n=3)
         with pytest.raises(PreconditionError, match="item 5 out of range"):
             oracle.eval({5})
-        # The solver's dummy ids start at n; no oracle accepts them.
+        # Id n is one past the ground set; no oracle accepts it.
         with pytest.raises(PreconditionError, match="item 3 out of range, ground set has 3 items"):
             oracle.eval({0, 3})
         with pytest.raises(PreconditionError, match="item -1 out of range"):
@@ -212,13 +212,25 @@ class TestZooProperties:
     @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
     def test_dummy_transparency(self, kind):
         # No oracle takes an id from n on, but descriptor values skip one, so
-        # a set that carries a stray solver dummy can still be valued.
+        # perfbench --smoke can value a feasible set it injected id n into.
         oracles, rng = self._oracles(kind, 102)
         for o in oracles:
             for _ in range(40):
                 A = helpers.random_subset(rng, range(o.n))
                 d = rng.randrange(o.n, 2 * o.n)
                 assert o.descriptor.value(A | {d}) == o.descriptor.value(A)
+
+    @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
+    def test_value_does_not_depend_on_item_order(self, kind):
+        # Random float weights: ascending, descending and shuffled lists of
+        # the same items must give bit-equal values.
+        oracles, rng = self._oracles(kind, 106)
+        for o in oracles:
+            for _ in range(40):
+                ascending = sorted(helpers.random_subset(rng, range(o.n)))
+                shuffled = rng.sample(ascending, len(ascending))
+                value = o.descriptor.value
+                assert value(ascending) == value(ascending[::-1]) == value(shuffled)
 
     @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
     def test_submodularity_spot_check(self, kind):

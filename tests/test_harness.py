@@ -13,7 +13,6 @@ from twostage.harness import (
     RunConfig,
     TrialRecord,
     evaluate_reported_F,
-    render_csv,
     run_experiment,
 )
 from twostage.instances import Instance, generate_instance
@@ -146,7 +145,7 @@ class TestCsv:
         records = run_experiment(
             forced_pick_instance(), RunConfig("sampling_greedy", trials=2), "zoo"
         )
-        lines = render_csv(records).splitlines()
+        lines = helpers.render_csv(records).splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 2 + 2
         assert lines[1].startswith("zoo,sampling_greedy,0,2,exact,2,2,1,")
@@ -155,7 +154,7 @@ class TestCsv:
         records = run_experiment(
             forced_pick_instance(), RunConfig("sampling_greedy", trials=3), "zoo"
         )
-        rows = list(csv.reader(io.StringIO(render_csv(records))))
+        rows = list(csv.reader(io.StringIO(helpers.render_csv(records))))
         mean, stddev = rows[-2], rows[-1]
         assert mean[:4] == ["zoo", "sampling_greedy", "mean", "2"]
         assert mean[7] == "1"
@@ -167,7 +166,7 @@ class TestCsv:
         records = run_experiment(
             big_modular_instance(), RunConfig("sampling_greedy", trials=2, f_eval_mode="greedy")
         )
-        rows = list(csv.reader(io.StringIO(render_csv(records))))
+        rows = list(csv.reader(io.StringIO(helpers.render_csv(records))))
         assert rows[-2][2] == "mean" and rows[-2][7] == ""
         assert rows[-1][2] == "stddev" and rows[-1][7] == ""
 
@@ -176,7 +175,7 @@ class TestCsv:
             "fmt", "sampling_greedy", 0, 2.0 / 3.0, "exact",
             1.0 / 3.0, 1.0, 2.0 / 3.0, 5, 0.125,
         )
-        row = list(csv.reader(io.StringIO(render_csv([record]))))[1]
+        row = list(csv.reader(io.StringIO(helpers.render_csv([record]))))[1]
         assert row[3] == "0.666666666667"
         assert row[5] == "0.333333333333"
         assert row[9] == "0.125"
@@ -188,7 +187,7 @@ class TestCsv:
         b = run_experiment(
             forced_pick_instance(), RunConfig("replacement_greedy", trials=2), "a-first"
         )
-        rows = list(csv.reader(io.StringIO(render_csv(a + b))))[1:]
+        rows = list(csv.reader(io.StringIO(helpers.render_csv(a + b))))[1:]
         trial_keys = [(r[0], r[1]) for r in rows[:4]]
         assert trial_keys == sorted(trial_keys)
         assert rows[0][0] == "a-first"

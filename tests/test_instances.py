@@ -126,6 +126,8 @@ class TestJsonRoundTrip:
             ('{"n": 1, "k": 1, "l": 1, "functions": [{"type": "facility_location", '
              '"similarity": [[1e308], [1e308]]}]}',
              "similarity row maxima total is not finite"),
+            pytest.param("[" * 100000, "instance JSON is nested too deeply",
+                         id="deeply-nested"),
         ],
     )
     def test_parse_errors(self, text, message):

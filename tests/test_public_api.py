@@ -30,7 +30,7 @@ EXPECTED = {
     "brute_force_optimum", "random_baseline",
     # harness
     "ALGORITHMS", "F_EVAL_MODES", "CSV_HEADER", "RunConfig", "TrialRecord",
-    "evaluate_reported_F", "run_experiment", "write_csv", "render_csv",
+    "evaluate_reported_F", "run_experiment", "write_csv",
     "__version__",
 }
 

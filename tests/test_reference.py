@@ -44,8 +44,8 @@ class TestEvaluateFExact:
         assert result.witness == (frozenset({0}), frozenset({1}))
 
     def test_witness_never_contains_a_dummy(self):
-        # Dummy ids start at n and stay inside the solver: evaluation rejects
-        # one rather than enumerate witnesses around it.
+        # Ids from n on are not items: evaluation rejects one rather than
+        # enumerate witnesses around it.
         with pytest.raises(PreconditionError, match="item 3 out of range"):
             evaluate_F_exact(zoo_instance(k=2), {0, 3})
 

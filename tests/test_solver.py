@@ -1,5 +1,7 @@
 """Solver tests: trimming, candidate absorption, the randomized reduction."""
 
+import hashlib
+import json
 import math
 import random
 import statistics
@@ -9,10 +11,11 @@ import pytest
 from twostage.exceptions import ValidationError
 from twostage.functions import Modular, Oracle
 from twostage.harness import RunConfig, run_experiment
-from twostage.instances import Instance, generate_instance
+from twostage.instances import GENERATOR_KINDS, Instance, generate_instance
 from twostage.solver import (
     apply_candidate,
     feasible_sets_value,
+    replacement_greedy,
     sampling_greedy,
     trim,
 )
@@ -71,18 +74,18 @@ class TestApplyCandidate:
         assert apply_candidate(oracle, {0}, 0, k=1) == {0}
 
     def test_dummy_against_trimmed_set_is_a_no_op(self):
-        # Only one real item is left in round 2, so dummy 2 joins the
-        # shortlist and is drawn in some solves; T must then stay as it is.
+        # Only one item is left in round 2, so one of its two slots is blank
+        # and is drawn in some solves; S and T must then stay as they are.
         instance = Instance(2, 1, 2, (Modular((1.0, 0.0)),))
-        drawn = 0
+        blank = 0
         for seed in range(40):
             snapshots = []
             sampling_greedy(instance, seed, on_round=snapshots.append)
-            for before, after in zip(snapshots, snapshots[1:]):
-                if max(after.S - before.S) >= instance.n:
-                    drawn += 1
-                    assert after.Ts == before.Ts
-        assert drawn > 0
+            before, after = snapshots
+            if after.S == before.S:
+                blank += 1
+                assert after.Ts == before.Ts
+        assert blank > 0
 
     def test_zero_gain_item_is_not_inserted(self):
         # Items 0 and 1 cover the same element: swapping gains exactly zero.
@@ -119,6 +122,7 @@ class TestSamplingGreedy:
         assert sampling_greedy(instance, 9) == sampling_greedy(instance, 9)
 
     def test_dummies_never_reach_the_returned_solution(self):
+        # Round 2 may draw a blank slot; only real ids ever come back.
         instance = Instance(2, 1, 2, (Modular((1.0, 0.0)),))
         for seed in range(40):
             solution = sampling_greedy(instance, seed)
@@ -137,9 +141,16 @@ class TestSamplingGreedy:
             snapshots = []
             sampling_greedy(instance, rng.randrange(1000), on_round=snapshots.append)
             assert [s.round_index for s in snapshots] == list(range(1, instance.l + 1))
+            previous_S, previous_Ts = frozenset(), tuple(frozenset() for _ in instance.functions)
             previous_value = 0.0
             for snap in snapshots:
-                assert len(snap.S) == snap.round_index
+                # A round adds at most one item; a blank round changes nothing.
+                assert previous_S <= snap.S
+                assert len(snap.S) <= len(previous_S) + 1
+                if snap.S == previous_S:
+                    assert snap.Ts == previous_Ts
+                previous_S, previous_Ts = snap.S, snap.Ts
+                assert all(x < instance.n for x in snap.S)
                 for T in snap.Ts:
                     assert T <= snap.S
                     assert len(T) <= instance.k
@@ -147,6 +158,38 @@ class TestSamplingGreedy:
                 value = feasible_sets_value(instance, snap.Ts)
                 assert value >= previous_value
                 previous_value = value
+
+    @pytest.mark.parametrize(
+        ("shape", "digest", "blank_solves"),
+        [
+            ((4, 2, 2, 4), "ba58a82ca5f14775b9531e2da9530cbd8a05d40b2001fe77ba4ba8f87aaa00b1", 40),
+            ((5, 2, 2, 4), "0d6eb2e23c74505fc81073dcda85cc54290800dc4f9e9cc9941f56c963e5886c", 28),
+        ],
+        ids=("n4-l4", "n5-l4"),
+    )
+    def test_blank_round_golden_digest(self, shape, digest, blank_solves):
+        # Shapes with n - l + 1 < l leave blank slots in the late rounds.
+        # The digest covers the final (S, Ts, evals) and every RoundState of
+        # sampling_greedy(instance, seed) and replacement_greedy(instance) for
+        # each generator kind and seeds 0..9.
+        records, blank = [], 0
+        for kind in GENERATOR_KINDS:
+            for seed in range(10):
+                instance = generate_instance(kind, *shape, seed=seed)
+                for solve in (
+                    lambda on_round: sampling_greedy(instance, seed, on_round),
+                    lambda on_round: replacement_greedy(instance, on_round),
+                ):
+                    snapshots = []
+                    solution = solve(snapshots.append)
+                    records.append([
+                        sorted(solution.S), [sorted(T) for T in solution.Ts], solution.evals,
+                        [[s.round_index, sorted(s.S), [sorted(T) for T in s.Ts], s.evals]
+                         for s in snapshots],
+                    ])
+                    blank += solution.seed is not None and len(solution.S) < instance.l
+        assert blank == blank_solves
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
 
     def test_oracle_call_budget(self):
         rng = random.Random(32)
