@@ -56,7 +56,6 @@ from .reference import (
     evaluate_F_exact,
     evaluate_F_greedy,
     exact_eval_cost,
-    greedy_witnesses,
     random_baseline,
 )
 from .solver import (
@@ -107,7 +106,6 @@ __all__ = [
     "brute_force_cost",
     "evaluate_F_exact",
     "evaluate_F_greedy",
-    "greedy_witnesses",
     "brute_force_optimum",
     "random_baseline",
     "ALGORITHMS",

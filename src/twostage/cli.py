@@ -26,7 +26,7 @@ from .instances import (
     parse_instance,
     serialize_instance,
 )
-from .reference import evaluate_F_exact, greedy_witnesses
+from .reference import evaluate_F_exact, evaluate_F_greedy
 
 __all__ = ["main", "build_parser"]
 
@@ -133,15 +133,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for x in S:
         if not 0 <= x < instance.n:
             raise ValidationError(f"item {x} out of range, ground set has {instance.n} items")
-    if args.f_eval == "exact":
-        result = evaluate_F_exact(instance, S)
-        value, witnesses = result.value, result.witness
-    else:
-        witnesses, value = greedy_witnesses(instance, S)
+    reporter = evaluate_F_exact if args.f_eval == "exact" else evaluate_F_greedy
+    result = reporter(instance, S)
     payload = {
-        "F": value,
+        "F": result.value,
         "mode": args.f_eval,
-        "witnesses": [sorted(w) for w in witnesses],
+        "witnesses": [sorted(w) for w in result.witness],
     }
     print(json.dumps(payload))
     return 0

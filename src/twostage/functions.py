@@ -8,7 +8,7 @@ counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Collection, Iterable
 
 from .exceptions import PreconditionError, ValidationError
@@ -44,6 +44,11 @@ def _check_total(label: str, weights: Iterable[float]) -> None:
         raise ValidationError(f"{label} total is not finite") from None
 
 
+def _is_list(x: object, of: tuple[type, ...] | None = None) -> bool:
+    # A JSON array arrives as a list, a constructor argument usually as a tuple.
+    return isinstance(x, (list, tuple)) and (of is None or all(isinstance(e, of) for e in x))
+
+
 @dataclass(frozen=True)
 class Coverage:
     """Weighted coverage: value of A is the total weight of universe
@@ -60,6 +65,10 @@ class Coverage:
     monotone = True
 
     def __post_init__(self) -> None:
+        if not _is_list(self.universe_weights):
+            raise ValidationError("coverage universe_weights must be a list")
+        if not _is_list(self.covers, (list, tuple, set, frozenset)):
+            raise ValidationError("coverage covers must be a list of lists")
         weights = tuple(
             _check_weight(f"universe_weights[{i}]", w)
             for i, w in enumerate(self.universe_weights)
@@ -119,6 +128,8 @@ class FacilityLocation:
     monotone = True
 
     def __post_init__(self) -> None:
+        if not _is_list(self.similarity, (list, tuple)):
+            raise ValidationError("facility_location similarity must be a list of rows")
         rows = []
         width = None
         for c, row in enumerate(self.similarity):
@@ -170,6 +181,8 @@ class GraphCut:
     monotone = False
 
     def __post_init__(self) -> None:
+        if not _is_list(self.edges):
+            raise ValidationError("graph_cut edges must be a list")
         normalized = []
         for i, edge in enumerate(self.edges):
             if not isinstance(edge, (tuple, list)) or len(edge) != 3:
@@ -215,6 +228,8 @@ class Modular:
     monotone = True
 
     def __post_init__(self) -> None:
+        if not _is_list(self.values):
+            raise ValidationError("modular values must be a list")
         checked = tuple(
             _check_weight(f"values[{i}]", w) for i, w in enumerate(self.values)
         )
@@ -238,12 +253,7 @@ class Modular:
 
 FunctionDescriptor = Coverage | FacilityLocation | GraphCut | Modular
 
-_DESCRIPTOR_FIELDS = {
-    "coverage": ("universe_weights", "covers"),
-    "facility_location": ("similarity",),
-    "graph_cut": ("edges",),
-    "modular": ("values",),
-}
+_DESCRIPTOR_TYPES = {cls.kind: cls for cls in (Coverage, FacilityLocation, GraphCut, Modular)}
 
 
 def descriptor_from_json(obj: object) -> FunctionDescriptor:
@@ -251,37 +261,17 @@ def descriptor_from_json(obj: object) -> FunctionDescriptor:
     if not isinstance(obj, dict):
         raise ValidationError("function descriptor must be a JSON object")
     kind = obj.get("type")
-    if kind not in _DESCRIPTOR_FIELDS:
+    if not isinstance(kind, str) or kind not in _DESCRIPTOR_TYPES:
         raise ValidationError(f"unknown function type {kind!r}")
-    expected = _DESCRIPTOR_FIELDS[kind]
+    cls = _DESCRIPTOR_TYPES[kind]
+    expected = [f.name for f in fields(cls)]
     unknown = sorted(set(obj) - {"type", *expected})
     if unknown:
         raise ValidationError(f"unknown {kind} field(s): {', '.join(unknown)}")
     missing = sorted(set(expected) - set(obj))
     if missing:
         raise ValidationError(f"{kind} is missing field(s): {', '.join(missing)}")
-    if kind == "coverage":
-        weights = obj["universe_weights"]
-        if not isinstance(weights, list):
-            raise ValidationError("coverage universe_weights must be a list")
-        covers = obj["covers"]
-        if not isinstance(covers, list) or not all(isinstance(c, list) for c in covers):
-            raise ValidationError("coverage covers must be a list of lists")
-        return Coverage(tuple(weights), tuple(covers))
-    if kind == "facility_location":
-        sim = obj["similarity"]
-        if not isinstance(sim, list) or not all(isinstance(r, list) for r in sim):
-            raise ValidationError("facility_location similarity must be a list of rows")
-        return FacilityLocation(tuple(tuple(r) for r in sim))
-    if kind == "graph_cut":
-        edges = obj["edges"]
-        if not isinstance(edges, list):
-            raise ValidationError("graph_cut edges must be a list")
-        return GraphCut(tuple(edges))
-    values = obj["values"]
-    if not isinstance(values, list):
-        raise ValidationError("modular values must be a list")
-    return Modular(tuple(values))
+    return cls(**{name: obj[name] for name in expected})
 
 
 class Oracle:

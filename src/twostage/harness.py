@@ -17,16 +17,13 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
-from .exceptions import ValidationError
+from .exceptions import GuardExceededError, ValidationError
 from .instances import Instance
 from .reference import (
-    BRUTE_FORCE_GUARD,
-    EXACT_EVAL_GUARD,
     brute_force_cost,
     brute_force_optimum,
     evaluate_F_exact,
     evaluate_F_greedy,
-    exact_eval_cost,
     random_baseline,
 )
 from .solver import feasible_sets_value, replacement_greedy, sampling_greedy
@@ -88,8 +85,9 @@ class TrialRecord:
     """One CSV row: the solution value of a single trial plus bookkeeping.
 
     F_opt and ratio are either both present or both absent; seed is None only
-    for the deterministic brute_force record.  evals counts oracle calls made
-    by the algorithm itself, not by the reporting evaluation.
+    for the deterministic brute_force record.  F_reported is never below
+    sum_fT.  evals counts oracle calls made by the algorithm itself, not by
+    the reporting evaluation.
     """
 
     instance_id: str
@@ -116,11 +114,13 @@ def evaluate_reported_F(
     if mode not in F_EVAL_MODES:
         raise ValidationError(f"unknown F evaluation mode {mode!r}")
     S = frozenset(S)
-    if mode == "greedy":
-        return evaluate_F_greedy(instance, S), "greedy"
-    if mode == "auto" and exact_eval_cost(len(S), instance.k) > EXACT_EVAL_GUARD:
-        return evaluate_F_greedy(instance, S), "greedy"
-    return evaluate_F_exact(instance, S).value, "exact"
+    if mode != "greedy":
+        try:
+            return evaluate_F_exact(instance, S).value, "exact"
+        except GuardExceededError:
+            if mode == "exact":
+                raise
+    return evaluate_F_greedy(instance, S).value, "greedy"
 
 
 def _ratio(reported: float, optimum: float) -> float:
@@ -174,9 +174,10 @@ def run_experiment(
         )
         return [record]
 
-    opt_value: float | None = None
-    if brute_force_cost(instance) <= BRUTE_FORCE_GUARD:
+    try:
         opt_value = brute_force_optimum(instance).value
+    except GuardExceededError:
+        opt_value = None
 
     def one_trial(t: int) -> TrialRecord:
         seed = config.base_seed + t
@@ -184,13 +185,17 @@ def run_experiment(
         solution = _solve(instance, config.algorithm, seed)
         wall_ms = (time.perf_counter() - start) * 1000.0
         reported, mode_used = evaluate_reported_F(instance, solution.S, config.f_eval_mode)
+        sum_fT = feasible_sets_value(instance, solution.Ts)
+        # The solver's own feasible sets lie inside S, so their sum is a floor
+        # that greedy reporting can miss; exact reporting never falls below it.
+        reported = max(reported, sum_fT)
         return TrialRecord(
             instance_id,
             config.algorithm,
             seed,
             reported,
             mode_used,
-            feasible_sets_value(instance, solution.Ts),
+            sum_fT,
             opt_value,
             None if opt_value is None else _ratio(reported, opt_value),
             solution.evals,

@@ -13,7 +13,14 @@ import random
 from dataclasses import dataclass
 
 from .exceptions import ValidationError
-from .functions import FunctionDescriptor, Oracle, descriptor_from_json
+from .functions import (
+    Coverage,
+    FacilityLocation,
+    FunctionDescriptor,
+    GraphCut,
+    Oracle,
+    descriptor_from_json,
+)
 
 __all__ = [
     "Instance",
@@ -103,8 +110,6 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def _generate_descriptor(kind: str, n: int, rng: random.Random) -> FunctionDescriptor:
-    from .functions import Coverage, FacilityLocation, GraphCut
-
     if kind == "coverage":
         universe = 2 * n
         covers = tuple(

@@ -3,7 +3,8 @@
 The two-stage objective F(S) sums, over functions, the best value of any
 subset of S within the cardinality budget.  That inner maximization is
 NP-hard in general, so the exact routines here enumerate and are protected by
-explicit call-count guards; the greedy surrogate scales instead.
+explicit call-count guards, which raise GuardExceededError before any oracle
+call; the greedy surrogate scales instead.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "brute_force_cost",
     "evaluate_F_exact",
     "evaluate_F_greedy",
-    "greedy_witnesses",
     "brute_force_optimum",
     "random_baseline",
 ]
@@ -38,11 +38,13 @@ BRUTE_FORCE_GUARD = 10**7
 
 @dataclass(frozen=True)
 class ExactResult:
-    """An exactly computed value plus what achieved it.
+    """A reported value plus what achieved it.
 
-    For F-evaluation the witness is one argmax subset per function; for the
-    brute-force optimum it is the single optimal reduced set.  Ties resolve
-    to the lexicographically smallest sorted item tuple.
+    For F-evaluation the witness holds one feasible set per function, and
+    their values sum to the value: argmax subsets for exact evaluation,
+    greedy sets for the surrogate.  For the brute-force optimum it is the
+    single optimal reduced set.  Exact ties resolve to the lexicographically
+    smallest sorted item tuple.
     """
 
     value: float
@@ -78,6 +80,24 @@ def _best_subset(
     return best_val, best_tup
 
 
+def _summed(pairs: Iterable[tuple[frozenset[int], float]]) -> ExactResult:
+    """Sum per-function (witness, value) pairs in function order."""
+    total = 0.0
+    witnesses = []
+    for witness, val in pairs:
+        witnesses.append(witness)
+        total += val
+    return ExactResult(total, tuple(witnesses))
+
+
+def _exact_feasible(
+    oracle: Oracle, members: Sequence[int], k: int
+) -> tuple[frozenset[int], float]:
+    """Best subset of the ascending ``members`` with at most k items."""
+    val, tup = _best_subset(lambda c: oracle.eval(frozenset(c)), members, k)
+    return frozenset(tup), val
+
+
 def evaluate_F_exact(instance: Instance, S: Iterable[int]) -> ExactResult:
     """Exact two-stage value of the reduced set S by per-function enumeration.
 
@@ -93,13 +113,7 @@ def evaluate_F_exact(instance: Instance, S: Iterable[int]) -> ExactResult:
             "use evaluate_F_greedy instead"
         )
     members = sorted(S)
-    total = 0.0
-    witnesses = []
-    for oracle in instance.oracles():
-        val, tup = _best_subset(lambda c: oracle.eval(frozenset(c)), members, instance.k)
-        total += val
-        witnesses.append(frozenset(tup))
-    return ExactResult(total, tuple(witnesses))
+    return _summed(_exact_feasible(o, members, instance.k) for o in instance.oracles())
 
 
 def _greedy_feasible(oracle: Oracle, S: Iterable[int], k: int) -> tuple[frozenset[int], float]:
@@ -127,25 +141,13 @@ def _greedy_feasible(oracle: Oracle, S: Iterable[int], k: int) -> tuple[frozense
     return A, current
 
 
-def greedy_witnesses(
-    instance: Instance, S: Iterable[int]
-) -> tuple[tuple[frozenset[int], ...], float]:
-    """Per-function greedy feasible sets inside S and their summed value."""
-    S = frozenset(S)
-    witnesses = []
-    total = 0.0
-    for oracle in instance.oracles():
-        A, value = _greedy_feasible(oracle, S, instance.k)
-        witnesses.append(A)
-        total += value
-    return tuple(witnesses), total
-
-
-def evaluate_F_greedy(instance: Instance, S: Iterable[int]) -> float:
+def evaluate_F_greedy(instance: Instance, S: Iterable[int]) -> ExactResult:
     """Greedy surrogate for the two-stage value: per function, k rounds of
     adding the best strictly-improving item of S, stopping early when nothing
-    improves.  Never exceeds the exact value."""
-    return greedy_witnesses(instance, S)[1]
+    improves.  The witnesses are those greedy sets; the value never exceeds
+    the exact one."""
+    S = frozenset(S)
+    return _summed(_greedy_feasible(o, S, instance.k) for o in instance.oracles())
 
 
 def brute_force_optimum(instance: Instance) -> ExactResult:

@@ -139,9 +139,9 @@ def replacement_greedy(
 def feasible_sets_value(instance: Instance, Ts: Sequence[Iterable[int]]) -> float:
     """Sum of raw per-function values of the feasible sets, in function order.
 
-    Computed off the descriptors directly so reporting does not disturb any
-    oracle counter.  This sum never exceeds the two-stage objective of S,
-    since each feasible set competes in its function's inner maximization.
+    Computed off the descriptors directly: it is bookkeeping, not an oracle
+    call of any algorithm or report.  It never exceeds the two-stage objective
+    of S, since each feasible set competes in its function's inner maximization.
     """
     total = 0.0
     for descriptor, T in zip(instance.functions, Ts, strict=True):

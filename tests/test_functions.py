@@ -58,6 +58,20 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="similarity row 1 has length 1, expected 2"):
             FacilityLocation(((0.5, 0.25), (0.125,)))
 
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda: Coverage((1.0,), 5), "coverage covers must be a list of lists"),
+            (lambda: FacilityLocation(5), "facility_location similarity must be a list of rows"),
+            (lambda: GraphCut(5), "graph_cut edges must be a list"),
+            (lambda: Modular(5), "modular values must be a list"),
+        ],
+        ids=["coverage", "facility_location", "graph_cut", "modular"],
+    )
+    def test_non_list_argument_is_a_validation_error(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
     def test_edge_endpoint_checked_against_n(self):
         with pytest.raises(ValidationError, match=r"edges\[0\] endpoint 5 out of range for n=3"):
             Oracle(GraphCut(((0, 5, 1.0),)), n=3)

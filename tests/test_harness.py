@@ -16,7 +16,8 @@ from twostage.harness import (
     run_experiment,
 )
 from twostage.instances import Instance, generate_instance
-from twostage.reference import brute_force_cost
+from twostage.reference import brute_force_cost, evaluate_F_exact
+from twostage.solver import sampling_greedy
 
 import helpers
 
@@ -127,6 +128,16 @@ class TestRunExperiment:
         records = run_experiment(instance, RunConfig("replacement_greedy", trials=2, base_seed=3))
         assert records[0].seed == 3 and records[1].seed == 4
         assert records[0].F_reported == records[1].F_reported
+
+    def test_greedy_report_never_below_own_feasible_sets(self):
+        # Greedy reporting alone gives seed 3 less than its sum_fT.
+        instance = generate_instance("coverage", 6, 2, 2, 3, seed=0)
+        config = RunConfig("sampling_greedy", trials=5, base_seed=0, f_eval_mode="greedy")
+        for r in run_experiment(instance, config):
+            exact = evaluate_F_exact(instance, sampling_greedy(instance, r.seed).S).value
+            assert r.F_mode == "greedy"
+            assert r.sum_fT <= r.F_reported <= exact
+            assert r.ratio == r.F_reported / r.F_opt
 
     def test_ratio_sweep_stays_in_unit_interval(self):
         rng = random.Random(80)

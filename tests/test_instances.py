@@ -128,6 +128,8 @@ class TestJsonRoundTrip:
              "similarity row maxima total is not finite"),
             pytest.param("[" * 100000, "instance JSON is nested too deeply",
                          id="deeply-nested"),
+            pytest.param('{"n": 1, "k": 1, "l": 1, "functions": [{"type": ["coverage"]}]}',
+                         r"unknown function type \['coverage'\]", id="type-not-a-string"),
         ],
     )
     def test_parse_errors(self, text, message):

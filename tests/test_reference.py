@@ -55,7 +55,8 @@ class TestEvaluateFExact:
         with pytest.raises(GuardExceededError, match="use evaluate_F_greedy"):
             evaluate_F_exact(instance, range(40))
 
-    def test_witness_replay_reproduces_value(self):
+    @pytest.mark.parametrize("reporter", [evaluate_F_exact, evaluate_F_greedy])
+    def test_witness_replay_reproduces_value(self, reporter):
         rng = random.Random(60)
         for _ in range(25):
             instance = generate_instance(
@@ -63,7 +64,7 @@ class TestEvaluateFExact:
                 rng.randrange(1, 3), 2, seed=rng.randrange(500),
             )
             S = helpers.random_subset(rng, range(instance.n))
-            result = evaluate_F_exact(instance, S)
+            result = reporter(instance, S)
             replay = 0.0
             for oracle, witness in zip(instance.oracles(), result.witness):
                 assert witness <= S
@@ -75,23 +76,24 @@ class TestEvaluateFExact:
 class TestEvaluateFGreedy:
     def test_modular_greedy_is_exact(self):
         instance = Instance(3, 2, 3, (Modular((5.0, 3.0, 1.0)),))
-        assert evaluate_F_greedy(instance, {0, 1, 2}) == 8.0
-        assert evaluate_F_greedy(instance, {0, 1, 2}) == evaluate_F_exact(instance, {0, 1, 2}).value
+        greedy = evaluate_F_greedy(instance, {0, 1, 2})
+        assert greedy == ExactResult(8.0, (frozenset({0, 1}),))
+        assert greedy.value == evaluate_F_exact(instance, {0, 1, 2}).value
 
     def test_empty_set(self):
-        assert evaluate_F_greedy(zoo_instance(), set()) == 0.0
+        assert evaluate_F_greedy(zoo_instance(), set()) == ExactResult(0.0, (frozenset(),))
 
     def test_greedy_trace_with_tied_second_pick(self):
         # First pick covers weight 3; items 1 and 2 then gain 1 each, the tie
         # resolves to item 1, and the k=2 value lands on 4.
         cov = Coverage((1.0,) * 5, (frozenset({0, 1, 2}), frozenset({3}), frozenset({4})))
         instance = Instance(3, 2, 3, (cov,))
-        assert evaluate_F_greedy(instance, {0, 1, 2}) == 4.0
+        assert evaluate_F_greedy(instance, {0, 1, 2}) == ExactResult(4.0, (frozenset({0, 1}),))
         assert evaluate_F_exact(instance, {0, 1, 2}).value == 4.0
 
     def test_zoo_coverage_pairs_cap_at_three(self):
         instance = zoo_instance(k=2)
-        assert evaluate_F_greedy(instance, {0, 1, 2}) == 3.0
+        assert evaluate_F_greedy(instance, {0, 1, 2}).value == 3.0
         assert evaluate_F_exact(instance, {0, 1, 2}).value == 3.0
 
     def test_sandwich_never_exceeds_exact(self):
@@ -102,7 +104,7 @@ class TestEvaluateFGreedy:
                 rng.randrange(1, 4), rng.randrange(1, 4), 2, seed=rng.randrange(500),
             )
             S = helpers.random_subset(rng, range(instance.n))
-            assert evaluate_F_greedy(instance, S) <= evaluate_F_exact(instance, S).value
+            assert evaluate_F_greedy(instance, S).value <= evaluate_F_exact(instance, S).value
 
 
 class TestBruteForceOptimum:
