@@ -21,7 +21,6 @@ from .functions import (
     GraphCut,
     Modular,
     Oracle,
-    descriptor_from_json,
 )
 from .harness import (
     ALGORITHMS,
@@ -36,6 +35,7 @@ from .harness import (
 from .instances import (
     GENERATOR_KINDS,
     Instance,
+    descriptor_from_json,
     generate_instance,
     parse_instance,
     serialize_instance,

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Four subcommands: gen writes a synthetic instance as JSON, solve runs one
-algorithm over an instance and writes the trial CSV, eval prints the
-objective value and witnesses of an explicit reduced set, and bench executes
-a JSON-configured sweep into a single CSV.
+Four subcommands: gen writes a synthetic instance as JSON, bench executes a
+JSON-configured sweep into a single CSV, solve runs its flags as a one-entry
+sweep, and eval prints the objective value and witnesses of an explicit
+reduced set.
 
 Exit codes: 0 on success, 2 for validation and input errors (argparse uses
 the same code for bad flags), 3 when an enumeration guard refuses the work.
@@ -12,8 +12,8 @@ the same code for bad flags), 3 when an enumeration guard refuses the work.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -22,6 +22,9 @@ from .harness import F_EVAL_MODES, RunConfig, TrialRecord, run_experiment, write
 from .instances import (
     GENERATOR_KINDS,
     Instance,
+    _check_fields,
+    _decode_json,
+    _encode_json,
     generate_instance,
     parse_instance,
     serialize_instance,
@@ -38,7 +41,7 @@ _ALGO_NAMES = {
 }
 
 _GENERATE_FIELDS = ("kind", "n", "m", "k", "l", "seed")
-_BENCH_FIELDS = ("id", "instance", "generate", "algorithm", "trials", "base_seed", "f_eval_mode")
+_RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,12 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_instance(path: str) -> Instance:
+def _read(path: str, what: str) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
-        raise ValidationError(f"cannot read instance file {path}: {exc}") from exc
-    return parse_instance(data)
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _parse_item_set(text: str) -> frozenset[int]:
@@ -114,59 +116,37 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    config = RunConfig(
-        _ALGO_NAMES[args.algo],
-        trials=args.trials,
-        base_seed=args.seed,
-        f_eval_mode=args.f_eval,
-    )
-    records = run_experiment(instance, config, instance_id=Path(args.instance).stem)
-    with open(args.out, "w", encoding="utf-8", newline="") as fp:
-        write_csv(records, fp)
-    return 0
+    entry = {
+        "instance": args.instance,
+        "algorithm": _ALGO_NAMES[args.algo],
+        "trials": args.trials,
+        "base_seed": args.seed,
+        "f_eval_mode": args.f_eval,
+    }
+    return _run_entries([entry], args.out)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_read(args.instance, "instance"))
     S = _parse_item_set(args.items)
     for x in S:
         if not 0 <= x < instance.n:
             raise ValidationError(f"item {x} out of range, ground set has {instance.n} items")
     reporter = evaluate_F_exact if args.f_eval == "exact" else evaluate_F_greedy
     result = reporter(instance, S)
-    payload = {
-        "F": result.value,
-        "mode": args.f_eval,
-        "witnesses": [sorted(w) for w in result.witness],
-    }
-    print(json.dumps(payload))
+    print(_encode_json({"F": result.value, "mode": args.f_eval, "witnesses": result.witness}))
     return 0
 
 
-def _bench_entry_error(index: int, message: str) -> ValidationError:
-    return ValidationError(f"bench entry {index}: {message}")
-
-
-def _bench_instance(index: int, entry: dict) -> tuple[str, Instance]:
-    has_path = "instance" in entry
-    has_spec = "generate" in entry
-    if has_path == has_spec:
-        raise _bench_entry_error(index, "needs exactly one of 'instance' or 'generate'")
-    if has_path:
+def _bench_instance(what: str, entry: dict) -> tuple[str, Instance]:
+    if ("instance" in entry) == ("generate" in entry):
+        raise ValidationError(f"{what}: needs exactly one of 'instance' or 'generate'")
+    if "instance" in entry:
         path = entry["instance"]
         if not isinstance(path, str):
-            raise _bench_entry_error(index, "'instance' must be a file path string")
-        return Path(path).stem, _load_instance(path)
-    spec = entry["generate"]
-    if not isinstance(spec, dict):
-        raise _bench_entry_error(index, "'generate' must be a JSON object")
-    unknown = sorted(set(spec) - set(_GENERATE_FIELDS))
-    if unknown:
-        raise _bench_entry_error(index, f"unknown generate field(s): {', '.join(unknown)}")
-    missing = sorted(set(_GENERATE_FIELDS) - set(spec))
-    if missing:
-        raise _bench_entry_error(index, f"missing generate field(s): {', '.join(missing)}")
+            raise ValidationError(f"{what}: 'instance' must be a file path string")
+        return Path(path).stem, parse_instance(_read(path, "instance"))
+    spec = _check_fields(entry["generate"], f"{what} generate", _GENERATE_FIELDS)
     instance = generate_instance(
         spec["kind"], spec["n"], spec["m"], spec["k"], spec["l"], spec["seed"]
     )
@@ -174,46 +154,29 @@ def _bench_instance(index: int, entry: dict) -> tuple[str, Instance]:
     return default_id, instance
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {args.config}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"config is not UTF-8: {exc}") from exc
-    try:
-        entries = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ValidationError("config JSON is nested too deeply") from exc
-    if not isinstance(entries, list):
-        raise ValidationError("bench config must be a JSON array")
-
+def _run_entries(entries: list, out: str) -> int:
+    """Run each bench entry and write all their records to one CSV."""
     records: list[TrialRecord] = []
     for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise _bench_entry_error(index, "must be a JSON object")
-        unknown = sorted(set(entry) - set(_BENCH_FIELDS))
-        if unknown:
-            raise _bench_entry_error(index, f"unknown field(s): {', '.join(unknown)}")
-        if "algorithm" not in entry:
-            raise _bench_entry_error(index, "missing field: algorithm")
-        default_id, instance = _bench_instance(index, entry)
-        config = RunConfig(
-            entry["algorithm"],
-            trials=entry.get("trials", 1),
-            base_seed=entry.get("base_seed", 0),
-            f_eval_mode=entry.get("f_eval_mode", "auto"),
-        )
+        what = f"bench entry {index}"
+        _check_fields(entry, what, ("algorithm",), ("id", "instance", "generate", *_RUN_FIELDS))
+        default_id, instance = _bench_instance(what, entry)
+        config = RunConfig(**{name: entry[name] for name in _RUN_FIELDS if name in entry})
         instance_id = entry.get("id", default_id)
         if not isinstance(instance_id, str) or not instance_id:
-            raise _bench_entry_error(index, "'id' must be a non-empty string")
+            raise ValidationError(f"{what}: 'id' must be a non-empty string")
         records.extend(run_experiment(instance, config, instance_id=instance_id))
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fp:
+    with open(out, "w", encoding="utf-8", newline="") as fp:
         write_csv(records, fp)
     return 0
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    entries = _decode_json(_read(args.config, "config"), "config")
+    if not isinstance(entries, list):
+        raise ValidationError("bench config must be a JSON array")
+    return _run_entries(entries, args.out)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -8,7 +8,7 @@ counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from .exceptions import PreconditionError, ValidationError
@@ -20,14 +20,17 @@ __all__ = [
     "Modular",
     "FunctionDescriptor",
     "Oracle",
-    "descriptor_from_json",
 ]
 
 
 def _check_weight(label: str, w: object) -> float:
     if not isinstance(w, (int, float)) or isinstance(w, bool):
         raise ValidationError(f"{label} is not a number")
-    w = float(w)
+    try:
+        w = float(w)
+    except OverflowError:
+        # An integer too large for a float is not finite either.
+        w = math.inf
     if not math.isfinite(w):
         raise ValidationError(f"{label} is not finite")
     if w < 0:
@@ -107,13 +110,6 @@ class Coverage:
         # in which the set happens to iterate.
         return math.fsum(weights[u] for u in covered)
 
-    def to_json(self) -> dict:
-        return {
-            "type": "coverage",
-            "universe_weights": list(self.universe_weights),
-            "covers": [sorted(c) for c in self.covers],
-        }
-
 
 @dataclass(frozen=True)
 class FacilityLocation:
@@ -164,9 +160,6 @@ class FacilityLocation:
             return 0.0
         return float(sum(max(row[x] for x in selected) for row in self.similarity))
 
-    def to_json(self) -> dict:
-        return {"type": "facility_location", "similarity": [list(r) for r in self.similarity]}
-
 
 @dataclass(frozen=True)
 class GraphCut:
@@ -212,9 +205,6 @@ class GraphCut:
             sum(w for u, v, w in self.edges if (u in items) != (v in items))
         )
 
-    def to_json(self) -> dict:
-        return {"type": "graph_cut", "edges": [[u, v, w] for u, v, w in self.edges]}
-
 
 @dataclass(frozen=True)
 class Modular:
@@ -247,31 +237,8 @@ class Modular:
         # Ids from n on are skipped: perfbench --smoke values a set carrying id n.
         return math.fsum(self.values[x] for x in items if x < n)
 
-    def to_json(self) -> dict:
-        return {"type": "modular", "values": list(self.values)}
-
 
 FunctionDescriptor = Coverage | FacilityLocation | GraphCut | Modular
-
-_DESCRIPTOR_TYPES = {cls.kind: cls for cls in (Coverage, FacilityLocation, GraphCut, Modular)}
-
-
-def descriptor_from_json(obj: object) -> FunctionDescriptor:
-    """Build a descriptor from its JSON dict form, rejecting unknown fields."""
-    if not isinstance(obj, dict):
-        raise ValidationError("function descriptor must be a JSON object")
-    kind = obj.get("type")
-    if not isinstance(kind, str) or kind not in _DESCRIPTOR_TYPES:
-        raise ValidationError(f"unknown function type {kind!r}")
-    cls = _DESCRIPTOR_TYPES[kind]
-    expected = [f.name for f in fields(cls)]
-    unknown = sorted(set(obj) - {"type", *expected})
-    if unknown:
-        raise ValidationError(f"unknown {kind} field(s): {', '.join(unknown)}")
-    missing = sorted(set(expected) - set(obj))
-    if missing:
-        raise ValidationError(f"{kind} is missing field(s): {', '.join(missing)}")
-    return cls(**{name: obj[name] for name in expected})
 
 
 class Oracle:

@@ -1,16 +1,21 @@
-"""Problem instances: validation, JSON round-trip, synthetic generators.
+"""Problem instances: validation, the package's JSON codec, synthetic generators.
 
 An instance fixes the ground set size n, the per-function budget k, the
 reduction budget l, and the list of function descriptors.  The JSON form is
 flat and canonical, so generating the same instance twice yields identical
 bytes.
+
+Every JSON text the package reads or writes (instances, descriptors, bench
+configs, ``twostage eval`` output) goes through one decoder, one field check
+and one encoder here.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Iterable
 
 from .exceptions import ValidationError
 from .functions import (
@@ -18,19 +23,18 @@ from .functions import (
     FacilityLocation,
     FunctionDescriptor,
     GraphCut,
+    Modular,
     Oracle,
-    descriptor_from_json,
 )
 
 __all__ = [
     "Instance",
+    "descriptor_from_json",
     "parse_instance",
     "serialize_instance",
     "generate_instance",
     "GENERATOR_KINDS",
 ]
-
-_INSTANCE_FIELDS = ("n", "k", "l", "functions")
 
 GENERATOR_KINDS = ("coverage", "facility_location", "graph_cut", "mixed")
 
@@ -71,27 +75,75 @@ class Instance:
         return [Oracle(f, self.n) for f in self.functions]
 
 
+def _decode_json(data: bytes | str, what: str) -> object:
+    """Decode JSON text, mapping every failure to ValidationError."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} is not UTF-8: {exc}") from exc
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValidationError(f"{what} JSON is nested too deeply") from exc
+    except ValueError as exc:
+        # JSONDecodeError, and integer literals past the interpreter's digit limit.
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _check_fields(
+    obj: object, what: str, required: Iterable[str], optional: Iterable[str] = ()
+) -> dict:
+    """Return obj if it is a JSON object with every required key and no key
+    outside required and optional."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    required = set(required)
+    unknown = sorted(set(obj) - required - set(optional))
+    if unknown:
+        raise ValidationError(f"unknown {what} field(s): {', '.join(unknown)}")
+    missing = sorted(required - set(obj))
+    if missing:
+        raise ValidationError(f"{what} is missing field(s): {', '.join(missing)}")
+    return obj
+
+
+def _plain(value: object) -> object:
+    # json.dumps writes tuples as arrays itself and hands everything else here.
+    if isinstance(value, frozenset):
+        return sorted(value)
+    obj = {f.name: getattr(value, f.name) for f in fields(value)}
+    kind = getattr(value, "kind", None)
+    return obj if kind is None else {"type": kind, **obj}
+
+
+def _encode_json(value: object) -> str:
+    """Single-line JSON: a dataclass becomes an object of its fields, tagged
+    with its "type" first when it is a descriptor, and a frozenset a sorted
+    array."""
+    return json.dumps(value, default=_plain)
+
+
+_DESCRIPTOR_TYPES = {cls.kind: cls for cls in (Coverage, FacilityLocation, GraphCut, Modular)}
+
+
+def descriptor_from_json(obj: object) -> FunctionDescriptor:
+    """Build a descriptor from its JSON dict form, rejecting unknown fields."""
+    if not isinstance(obj, dict):
+        raise ValidationError("function descriptor must be a JSON object")
+    kind = obj.get("type")
+    if not isinstance(kind, str) or kind not in _DESCRIPTOR_TYPES:
+        raise ValidationError(f"unknown function type {kind!r}")
+    cls = _DESCRIPTOR_TYPES[kind]
+    names = [f.name for f in fields(cls)]
+    _check_fields(obj, kind, ("type", *names))
+    return cls(**{name: obj[name] for name in names})
+
+
 def parse_instance(text: bytes | str) -> Instance:
     """Parse and validate the JSON instance form, rejecting unknown fields."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"instance is not UTF-8: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"instance is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ValidationError("instance JSON is nested too deeply") from exc
-    if not isinstance(obj, dict):
-        raise ValidationError("instance must be a JSON object")
-    unknown = sorted(set(obj) - set(_INSTANCE_FIELDS))
-    if unknown:
-        raise ValidationError(f"unknown instance field(s): {', '.join(unknown)}")
-    missing = sorted(set(_INSTANCE_FIELDS) - set(obj))
-    if missing:
-        raise ValidationError(f"instance is missing field(s): {', '.join(missing)}")
+    obj = _check_fields(
+        _decode_json(text, "instance"), "instance", (f.name for f in fields(Instance))
+    )
     if not isinstance(obj["functions"], list):
         raise ValidationError("functions must be a JSON array")
     descriptors = tuple(descriptor_from_json(d) for d in obj["functions"])
@@ -100,13 +152,7 @@ def parse_instance(text: bytes | str) -> Instance:
 
 def serialize_instance(instance: Instance) -> str:
     """Canonical single-line JSON; equal instances serialize to equal bytes."""
-    payload = {
-        "n": instance.n,
-        "k": instance.k,
-        "l": instance.l,
-        "functions": [f.to_json() for f in instance.functions],
-    }
-    return json.dumps(payload)
+    return _encode_json(instance)
 
 
 def _generate_descriptor(kind: str, n: int, rng: random.Random) -> FunctionDescriptor:

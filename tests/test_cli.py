@@ -214,11 +214,11 @@ class TestBench:
             ({"algorithm": "sampling_greedy"}, "exactly one of 'instance' or 'generate'"),
             ({"instance": "a", "generate": {}, "algorithm": "sampling_greedy"},
              "exactly one of 'instance' or 'generate'"),
-            ({"instance": "a"}, "missing field: algorithm"),
+            ({"instance": "a"}, "bench entry 0 is missing field(s): algorithm"),
             ({"instance": "a", "algorithm": "sampling_greedy", "bogus": 1},
-             "unknown field(s): bogus"),
+             "unknown bench entry 0 field(s): bogus"),
             ({"generate": {"kind": "coverage"}, "algorithm": "sampling_greedy"},
-             "missing generate field(s)"),
+             "bench entry 0 generate is missing field(s): k, l, m, n, seed"),
             ({"generate": {"kind": "coverage", "n": "5", "m": 1, "k": 1, "l": 1, "seed": 0},
               "algorithm": "sampling_greedy"},
              "n must be an integer ≥ 1"),
@@ -243,6 +243,7 @@ class TestBench:
             (b"{}", "must be a JSON array"),
             (b"[" * 100000, "config JSON is nested too deeply"),
             (b"\xff\xfe[]", "config is not UTF-8"),
+            (b'[{"trials": 1' + b"0" * 5000 + b"}]", "config is not valid JSON"),
         ]:
             config.write_bytes(content)
             assert main(["bench", "--config", str(config),

@@ -15,9 +15,13 @@ from twostage.functions import (
     GraphCut,
     Modular,
     Oracle,
-    descriptor_from_json,
 )
-from twostage.instances import Instance
+from twostage.instances import (
+    Instance,
+    descriptor_from_json,
+    parse_instance,
+    serialize_instance,
+)
 
 import helpers
 
@@ -190,8 +194,8 @@ class TestDescriptorJson:
     def test_round_trip_all_kinds(self):
         rng = random.Random(5)
         for kind in helpers.DESCRIPTOR_BUILDERS:
-            descriptor = helpers.random_descriptor(rng, kind, 4)
-            assert descriptor_from_json(descriptor.to_json()) == descriptor
+            instance = Instance(4, 1, 1, (helpers.random_descriptor(rng, kind, 4),))
+            assert parse_instance(serialize_instance(instance)) == instance
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError, match="unknown function type 'banana'"):

@@ -1,5 +1,6 @@
 """Instance validation, JSON round-trip, and generator tests."""
 
+import hashlib
 import json
 import random
 
@@ -81,6 +82,22 @@ class TestJsonRoundTrip:
         assert a == b
         assert "\n" not in a
 
+    def test_serialized_bytes_golden_digest(self):
+        # Instance files already written must keep their exact bytes, whatever
+        # drives the encoder.
+        texts = [
+            serialize_instance(generate_instance(kind, 7, 4, 2, 3, seed))
+            for kind in GENERATOR_KINDS
+            for seed in range(20)
+        ]
+        texts.append(serialize_instance(Instance(3, 1, 2, (
+            Coverage((1.0, 2.0), ((1, 0), (), (0,))),
+            Modular((1, 2, 3)),
+            GraphCut(((0, 1, 2.5),)),
+        ))))
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest[:16] == "6b911d79be2c2ef1"
+
     def test_parses_bytes(self):
         text = serialize_instance(small_instance())
         assert parse_instance(text.encode()) == small_instance()
@@ -128,6 +145,11 @@ class TestJsonRoundTrip:
              "similarity row maxima total is not finite"),
             pytest.param("[" * 100000, "instance JSON is nested too deeply",
                          id="deeply-nested"),
+            pytest.param('{"n": 1' + "0" * 5000 + ', "k": 1, "l": 1, "functions": []}',
+                         "instance is not valid JSON", id="n-past-digit-limit"),
+            pytest.param('{"n": 1, "k": 1, "l": 1, "functions": [{"type": "modular", '
+                         '"values": [1' + "0" * 400 + ']}]}',
+                         r"values\[0\] is not finite", id="integer-past-float-range"),
             pytest.param('{"n": 1, "k": 1, "l": 1, "functions": [{"type": ["coverage"]}]}',
                          r"unknown function type \['coverage'\]", id="type-not-a-string"),
         ],
