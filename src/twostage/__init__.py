@@ -8,113 +8,25 @@ enumeration references and an experiment harness verify its guarantees on
 desk-scale instances.
 """
 
-from .exceptions import (
-    GuardExceededError,
-    PreconditionError,
-    TwoStageError,
-    ValidationError,
-)
-from .functions import (
-    Coverage,
-    FacilityLocation,
-    FunctionDescriptor,
-    GraphCut,
-    Modular,
-    Oracle,
-)
-from .harness import (
-    ALGORITHMS,
-    CSV_HEADER,
-    F_EVAL_MODES,
-    RunConfig,
-    TrialRecord,
-    evaluate_reported_F,
-    run_experiment,
-    write_csv,
-)
-from .instances import (
-    GENERATOR_KINDS,
-    Instance,
-    descriptor_from_json,
-    generate_instance,
-    parse_instance,
-    serialize_instance,
-)
-from .local_search import (
-    GainAction,
-    ScoredItem,
-    local_gain,
-    score_items,
-    select_top_l,
-)
-from .reference import (
-    BRUTE_FORCE_GUARD,
-    EXACT_EVAL_GUARD,
-    ExactResult,
-    brute_force_cost,
-    brute_force_optimum,
-    evaluate_F_exact,
-    evaluate_F_greedy,
-    exact_eval_cost,
-    random_baseline,
-)
-from .solver import (
-    RoundState,
-    TwoStageSolution,
-    apply_candidate,
-    feasible_sets_value,
-    replacement_greedy,
-    sampling_greedy,
-    trim,
-)
+from . import exceptions, functions, instances, local_search, solver, reference, harness
+from .exceptions import *
+from .functions import *
+from .instances import *
+from .local_search import *
+from .solver import *
+from .reference import *
+from .harness import *
 
 __version__ = "0.1.0"
 
+# Each module lists its public names once, in its own __all__.
 __all__ = [
-    "TwoStageError",
-    "ValidationError",
-    "PreconditionError",
-    "GuardExceededError",
-    "Coverage",
-    "FacilityLocation",
-    "GraphCut",
-    "Modular",
-    "FunctionDescriptor",
-    "Oracle",
-    "descriptor_from_json",
-    "Instance",
-    "parse_instance",
-    "serialize_instance",
-    "generate_instance",
-    "GENERATOR_KINDS",
-    "GainAction",
-    "ScoredItem",
-    "local_gain",
-    "score_items",
-    "select_top_l",
-    "RoundState",
-    "TwoStageSolution",
-    "trim",
-    "apply_candidate",
-    "sampling_greedy",
-    "replacement_greedy",
-    "feasible_sets_value",
-    "EXACT_EVAL_GUARD",
-    "BRUTE_FORCE_GUARD",
-    "ExactResult",
-    "exact_eval_cost",
-    "brute_force_cost",
-    "evaluate_F_exact",
-    "evaluate_F_greedy",
-    "brute_force_optimum",
-    "random_baseline",
-    "ALGORITHMS",
-    "F_EVAL_MODES",
-    "CSV_HEADER",
-    "RunConfig",
-    "TrialRecord",
-    "evaluate_reported_F",
-    "run_experiment",
-    "write_csv",
+    *exceptions.__all__,
+    *functions.__all__,
+    *instances.__all__,
+    *local_search.__all__,
+    *solver.__all__,
+    *reference.__all__,
+    *harness.__all__,
     "__version__",
 ]

@@ -5,6 +5,13 @@ class.  The split matters for the CLI, which maps ValidationError and
 PreconditionError to exit code 2 and GuardExceededError to exit code 3.
 """
 
+__all__ = [
+    "TwoStageError",
+    "ValidationError",
+    "PreconditionError",
+    "GuardExceededError",
+]
+
 
 class TwoStageError(Exception):
     """Base class for every error raised by this package."""

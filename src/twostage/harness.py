@@ -14,8 +14,8 @@ import csv
 import itertools
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from dataclasses import dataclass, fields
+from typing import Iterable, TextIO
 
 from .exceptions import GuardExceededError, ValidationError
 from .instances import Instance
@@ -42,25 +42,13 @@ __all__ = [
 ALGORITHMS = ("sampling_greedy", "replacement_greedy", "random_baseline", "brute_force")
 F_EVAL_MODES = ("exact", "greedy", "auto")
 
-CSV_HEADER = (
-    "instance_id",
-    "algorithm",
-    "seed",
-    "F_reported",
-    "F_mode",
-    "sum_fT",
-    "F_opt",
-    "ratio",
-    "evals",
-    "wall_ms",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """What to run: which algorithm, how many trials, seeding, and how the
-    reported objective is evaluated.  brute_force ignores trials and seeds
-    and always yields a single record."""
+    reported objective is evaluated.  brute_force ignores trials, base_seed
+    and f_eval_mode: it always yields a single exact record, and raises
+    GuardExceededError past the brute-force guard."""
 
     algorithm: str
     trials: int = 1
@@ -100,6 +88,9 @@ class TrialRecord:
     ratio: float | None
     evals: int
     wall_ms: float
+
+
+CSV_HEADER = tuple(f.name for f in fields(TrialRecord))
 
 
 def evaluate_reported_F(
@@ -154,30 +145,22 @@ def run_experiment(
     The optimum (hence F_opt and ratio) is filled in whenever the instance
     fits the brute-force guard; larger instances get blank ratio columns.
     """
-    if config.algorithm == "brute_force":
-        start = time.perf_counter()
-        optimum = brute_force_optimum(instance)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        # optimum.value already sums, in function order, the values of the
-        # optimum's best feasible sets: it is their sum_fT.
-        record = TrialRecord(
-            instance_id,
-            "brute_force",
-            None,
-            optimum.value,
-            "exact",
-            optimum.value,
-            optimum.value,
-            1.0,
-            brute_force_cost(instance),
-            wall_ms,
-        )
-        return [record]
-
+    start = time.perf_counter()
     try:
         opt_value = brute_force_optimum(instance).value
     except GuardExceededError:
+        if config.algorithm == "brute_force":
+            raise
         opt_value = None
+    if config.algorithm == "brute_force":
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        # The optimum's value already sums, in function order, the values of
+        # its best feasible sets: it is their sum_fT.
+        record = TrialRecord(
+            instance_id, config.algorithm, None, opt_value, "exact", opt_value,
+            opt_value, 1.0, brute_force_cost(instance), wall_ms,
+        )
+        return [record]
 
     def one_trial(t: int) -> TrialRecord:
         seed = config.base_seed + t
@@ -205,69 +188,42 @@ def run_experiment(
     return [one_trial(t) for t in range(config.trials)]
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+def _cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
 
 
-def _trial_row(r: TrialRecord) -> list[str]:
-    return [
-        r.instance_id,
-        r.algorithm,
-        "" if r.seed is None else str(r.seed),
-        _fmt(r.F_reported),
-        r.F_mode,
-        _fmt(r.sum_fT),
-        "" if r.F_opt is None else _fmt(r.F_opt),
-        "" if r.ratio is None else _fmt(r.ratio),
-        str(r.evals),
-        _fmt(r.wall_ms),
-    ]
-
-
-def _aggregate_rows(
-    instance_id: str, algorithm: str, group: Sequence[TrialRecord]
-) -> list[list[str]]:
-    values = [r.F_reported for r in group]
-    ratios = [r.ratio for r in group]
-    have_ratio = all(r is not None for r in ratios)
-
-    def stat_row(label: str, value_stat: float, ratio_stat: float | None) -> list[str]:
-        return [
-            instance_id,
-            algorithm,
-            label,
-            _fmt(value_stat),
-            "",
-            "",
-            "",
-            "" if ratio_stat is None else _fmt(ratio_stat),
-            "",
-            "",
-        ]
-
-    mean_ratio = statistics.fmean(ratios) if have_ratio else None
-    if len(group) > 1:
-        sd_value = statistics.stdev(values)
-        sd_ratio = statistics.stdev(ratios) if have_ratio else None
-    else:
-        sd_value = 0.0
-        sd_ratio = 0.0 if have_ratio else None
-    return [
-        stat_row("mean", statistics.fmean(values), mean_ratio),
-        stat_row("stddev", sd_value, sd_ratio),
-    ]
+def _row(**columns: object) -> list[str]:
+    return [_cell(columns.get(name)) for name in CSV_HEADER]
 
 
 def write_csv(records: Iterable[TrialRecord], fp: TextIO) -> None:
     """Write the fixed-schema CSV: one row per trial, floats at 12 significant
-    digits, then per-(instance, algorithm) mean and stddev rows at the end."""
+    digits, then per-(instance, algorithm) mean and stddev rows at the end.
+    A stat row fills only instance_id, algorithm, seed (the label), F_reported
+    and ratio; its ratio is blank when any trial in the group has none."""
     ordered = sorted(records, key=_record_key)
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for record in ordered:
-        writer.writerow(_trial_row(record))
+        writer.writerow(_row(**vars(record)))
     for (instance_id, algorithm), group in itertools.groupby(
         ordered, key=lambda r: (r.instance_id, r.algorithm)
     ):
-        for row in _aggregate_rows(instance_id, algorithm, list(group)):
-            writer.writerow(row)
+        group = list(group)
+        values = [r.F_reported for r in group]
+        ratios = [r.ratio for r in group]
+        have_ratio = None not in ratios
+        # stdev needs two samples; a lone trial has no spread.
+        spread = statistics.stdev if len(group) > 1 else lambda xs: 0.0
+        for label, stat in (("mean", statistics.fmean), ("stddev", spread)):
+            writer.writerow(_row(
+                instance_id=instance_id,
+                algorithm=algorithm,
+                seed=label,
+                F_reported=stat(values),
+                ratio=stat(ratios) if have_ratio else None,
+            ))

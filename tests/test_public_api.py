@@ -36,6 +36,7 @@ EXPECTED = {
 
 MODULES = (
     "twostage",
+    "twostage.exceptions",
     "twostage.functions",
     "twostage.instances",
     "twostage.local_search",
