@@ -1,14 +1,14 @@
 """Error types shared across the package.
 
 All library errors derive from TwoStageError so callers can catch one base
-class.  The split matters for the CLI, which maps ValidationError and
-PreconditionError to exit code 2 and GuardExceededError to exit code 3.
+class.  The split matters for the CLI, which maps ValidationError (any
+rejected input or argument) to exit code 2 and GuardExceededError to exit
+code 3.
 """
 
 __all__ = [
     "TwoStageError",
     "ValidationError",
-    "PreconditionError",
     "GuardExceededError",
 ]
 
@@ -18,11 +18,8 @@ class TwoStageError(Exception):
 
 
 class ValidationError(TwoStageError, ValueError):
-    """Malformed input data: bad descriptor payloads, bad instance files."""
-
-
-class PreconditionError(TwoStageError, ValueError):
-    """An operation was called with arguments that violate its contract."""
+    """Rejected input or arguments: bad descriptor payloads, bad instance
+    files, or a call that violates its contract."""
 
 
 class GuardExceededError(TwoStageError):

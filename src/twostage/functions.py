@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
-from .exceptions import PreconditionError, ValidationError
+from .exceptions import ValidationError
 
 __all__ = [
     "Coverage",
@@ -21,6 +21,15 @@ __all__ = [
     "FunctionDescriptor",
     "Oracle",
 ]
+
+
+def _check_int(label: str, value: object, minimum: int | None = None) -> int:
+    # The value stays out of the message: formatting a huge int can itself raise.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{label} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{label} must be ≥ {minimum}")
+    return value
 
 
 def _check_weight(label: str, w: object) -> float:
@@ -82,9 +91,7 @@ class Coverage:
         for i, cover in enumerate(self.covers):
             # Checked before hashing: a nested JSON list is unhashable.
             for u in cover:
-                if not isinstance(u, int) or isinstance(u, bool):
-                    raise ValidationError(f"covers[{i}] contains a non-integer element")
-                if not 0 <= u < m:
+                if not 0 <= _check_int(f"covers[{i}] element", u) < m:
                     raise ValidationError(
                         f"covers[{i}] references universe element {u}, universe has {m} elements"
                     )
@@ -182,10 +189,7 @@ class GraphCut:
                 raise ValidationError(f"edges[{i}] must be a (u, v, weight) triple")
             u, v, w = edge
             for endpoint in (u, v):
-                if not isinstance(endpoint, int) or isinstance(endpoint, bool):
-                    raise ValidationError(f"edges[{i}] endpoint {endpoint!r} is not an integer")
-                if endpoint < 0:
-                    raise ValidationError(f"edges[{i}] endpoint {endpoint} is negative")
+                _check_int(f"edges[{i}] endpoint", endpoint, 0)
             if u == v:
                 raise ValidationError(f"edges[{i}] is a self-loop on vertex {u}")
             normalized.append((u, v, _check_weight(f"edges[{i}] weight", w)))
@@ -252,8 +256,7 @@ class Oracle:
     __slots__ = ("descriptor", "n", "_count")
 
     def __init__(self, descriptor: FunctionDescriptor, n: int) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValidationError("n must be a positive integer")
+        _check_int("n", n, 1)
         descriptor.validate_for(n)
         self.descriptor = descriptor
         self.n = n
@@ -268,6 +271,6 @@ class Oracle:
         n = self.n
         for x in items:
             if not 0 <= x < n:
-                raise PreconditionError(f"item {x} out of range, ground set has {n} items")
+                raise ValidationError(f"item {x} out of range, ground set has {n} items")
         self._count += 1
         return self.descriptor.value(items)

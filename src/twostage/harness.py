@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, TextIO
 
 from .exceptions import GuardExceededError, ValidationError
+from .functions import _check_int
 from .instances import Instance
 from .reference import (
     brute_force_cost,
@@ -58,12 +59,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}")
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool):
-            raise ValidationError("trials must be an integer")
-        if self.trials < 1:
-            raise ValidationError("trials must be ≥ 1")
-        if not isinstance(self.base_seed, int) or isinstance(self.base_seed, bool):
-            raise ValidationError("base_seed must be an integer")
+        _check_int("trials", self.trials, 1)
+        _check_int("base_seed", self.base_seed)
         if self.f_eval_mode not in F_EVAL_MODES:
             raise ValidationError(f"unknown F evaluation mode {self.f_eval_mode!r}")
 

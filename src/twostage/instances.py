@@ -25,6 +25,7 @@ from .functions import (
     GraphCut,
     Modular,
     Oracle,
+    _check_int,
 )
 
 __all__ = [
@@ -48,15 +49,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         for name in ("n", "k", "l"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"{name} must be an integer")
-        if self.n < 1:
-            raise ValidationError("n must be ≥ 1")
-        if self.k < 1:
-            raise ValidationError("k must be ≥ 1")
-        if self.l < 1:
-            raise ValidationError("l must be ≥ 1")
+            _check_int(name, getattr(self, name), 1)
         if self.l > self.n:
             raise ValidationError(f"l={self.l} exceeds n={self.n}")
         functions = tuple(self.functions)
@@ -187,12 +180,9 @@ def generate_instance(
     """
     if kind not in GENERATOR_KINDS:
         raise ValidationError(f"unknown generator kind {kind!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("n must be an integer ≥ 1")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError("seed must be an integer")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValidationError("m must be ≥ 1")
+    _check_int("n", n, 1)
+    _check_int("seed", seed)
+    _check_int("m", m, 1)
     rng = random.Random(seed)
     if kind == "mixed":
         cycle = ("coverage", "facility_location", "graph_cut")

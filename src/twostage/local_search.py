@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exceptions import PreconditionError
+from .exceptions import ValidationError
 from .functions import Oracle
 
 __all__ = [
@@ -55,7 +55,7 @@ def local_gain(
     """
     current = frozenset(A)
     if len(current) > k:
-        raise PreconditionError(f"feasible set has {len(current)} items, budget k={k}")
+        raise ValidationError(f"feasible set has {len(current)} items, budget k={k}")
     if x in current:
         return GainAction(0.0, current)
     if base is None:
@@ -91,7 +91,7 @@ def score_items(
     order, one entry per universe item.
     """
     if len(fs) != len(Ts):
-        raise PreconditionError(f"fs and Ts length mismatch: {len(fs)} vs {len(Ts)}")
+        raise ValidationError(f"fs and Ts length mismatch: {len(fs)} vs {len(Ts)}")
     sets = [frozenset(T) for T in Ts]
     bases = [f.eval(T) for f, T in zip(fs, sets)]
     out = []
@@ -110,8 +110,8 @@ def select_top_l(scores: Sequence[ScoredItem], l: int) -> frozenset[int]:
     size-l set maximizing the total score.
     """
     if l > len(scores):
-        raise PreconditionError(f"cannot select top {l} from {len(scores)} scored items")
+        raise ValidationError(f"cannot select top {l} from {len(scores)} scored items")
     if l < 0:
-        raise PreconditionError("l must be non-negative")
+        raise ValidationError("l must be non-negative")
     ranked = sorted(scores, key=lambda s: (-s.total_score, s.item))
     return frozenset(s.item for s in ranked[:l])

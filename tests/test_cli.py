@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,13 @@ class TestSolve:
         assert code == 2
         assert "missing field" in capsys.readouterr().err
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        instance = run_gen(tmp_path)
+        code = main(["solve", "--instance", str(instance), "--algo", "random",
+                     "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestEval:
     def write_zoo(self, tmp_path):
@@ -221,13 +232,18 @@ class TestBench:
              "bench entry 0 generate is missing field(s): k, l, m, n, seed"),
             ({"generate": {"kind": "coverage", "n": "5", "m": 1, "k": 1, "l": 1, "seed": 0},
               "algorithm": "sampling_greedy"},
-             "n must be an integer ≥ 1"),
+             "n must be an integer"),
             ({"generate": {"kind": "coverage", "n": 5.0, "m": 1, "k": 1, "l": 1, "seed": 0},
               "algorithm": "sampling_greedy"},
-             "n must be an integer ≥ 1"),
+             "n must be an integer"),
             ({"generate": {"kind": "coverage", "n": 5, "m": 1, "k": 1, "l": 1, "seed": [1]},
               "algorithm": "sampling_greedy"},
              "seed must be an integer"),
+            ({"instance": 5, "algorithm": "sampling_greedy"},
+             "bench entry 0: 'instance' must be a file path string"),
+            ({"generate": {"kind": "coverage", "n": 3, "m": 1, "k": 1, "l": 1, "seed": 0},
+              "id": "", "algorithm": "random_baseline"},
+             "bench entry 0: 'id' must be a non-empty string"),
         ],
     )
     def test_entry_errors_exit_2(self, tmp_path, capsys, entry, message):
@@ -260,6 +276,29 @@ class TestBench:
         assert main(["bench", "--config", str(config),
                      "--out", str(tmp_path / "x.csv")]) == 3
         assert "brute-force optimum needs" in capsys.readouterr().err
+
+
+class TestModuleEntry:
+    """``python -m twostage`` runs the same CLI in a fresh interpreter."""
+
+    def run_module(self, *args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
+        return subprocess.run(
+            [sys.executable, "-m", "twostage", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_gen_and_eval(self, tmp_path):
+        path = tmp_path / "inst.json"
+        done = self.run_module("gen", "--kind", "coverage", "--n", "4", "--m", "1",
+                               "--k", "1", "--l", "2", "--seed", "0", "--out", str(path))
+        assert done.returncode == 0, done.stderr
+        assert parse_instance(path.read_bytes()).n == 4
+        done = self.run_module("eval", "--instance", str(path), "--set", "9")
+        assert done.returncode == 2
+        assert "item 9 out of range" in done.stderr
 
 
 def test_parser_prog_name():

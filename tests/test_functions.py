@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from twostage.exceptions import PreconditionError, ValidationError
+from twostage.exceptions import ValidationError
 from twostage.functions import (
     Coverage,
     FacilityLocation,
@@ -76,6 +76,21 @@ class TestConstruction:
         with pytest.raises(ValidationError, match=message):
             build()
 
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda: Modular(("x",)), r"values\[0\] is not a number"),
+            (lambda: GraphCut(((0.5, 1, 1.0),)), r"edges\[0\] endpoint must be an integer"),
+            (lambda: GraphCut(((-1, 1, 1.0),)), r"edges\[0\] endpoint must be ≥ 0"),
+            # Past the 4,300-digit limit, formatting the int itself would raise.
+            (lambda: GraphCut(((-10**5000, 1, 1.0),)), r"edges\[0\] endpoint must be ≥ 0"),
+        ],
+        ids=["modular-value", "endpoint-float", "endpoint-negative", "endpoint-huge-negative"],
+    )
+    def test_bad_entry_is_named(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
     def test_edge_endpoint_checked_against_n(self):
         with pytest.raises(ValidationError, match=r"edges\[0\] endpoint 5 out of range for n=3"):
             Oracle(GraphCut(((0, 5, 1.0),)), n=3)
@@ -85,9 +100,9 @@ class TestConstruction:
             Oracle(helpers.zoo_coverage(), n=5)
 
     def test_bad_ground_set_parameters(self):
-        with pytest.raises(ValidationError, match="n must be a positive integer"):
+        with pytest.raises(ValidationError, match="n must be ≥ 1"):
             Oracle(Modular(()), n=0)
-        with pytest.raises(ValidationError, match="n must be a positive integer"):
+        with pytest.raises(ValidationError, match="n must be an integer"):
             Oracle(Modular((1.0,)), n=True)
 
 
@@ -120,6 +135,8 @@ class TestEval:
         assert oracle.eval({1}) == 1.0
         assert oracle.eval({0, 1}) == 1.25
         assert oracle.eval(set()) == 0.0
+        # No clients, nobody to serve.
+        assert Oracle(FacilityLocation(()), 3).eval({0, 1}) == 0.0
 
     @pytest.mark.parametrize("kind", ["coverage", "modular"])
     def test_value_does_not_depend_on_iteration_order(self, kind):
@@ -138,12 +155,12 @@ class TestEval:
 
     def test_out_of_range_item_rejected(self):
         oracle = Oracle(helpers.zoo_coverage(), n=3)
-        with pytest.raises(PreconditionError, match="item 5 out of range"):
+        with pytest.raises(ValidationError, match="item 5 out of range"):
             oracle.eval({5})
         # Id n is one past the ground set; no oracle accepts it.
-        with pytest.raises(PreconditionError, match="item 3 out of range, ground set has 3 items"):
+        with pytest.raises(ValidationError, match="item 3 out of range, ground set has 3 items"):
             oracle.eval({0, 3})
-        with pytest.raises(PreconditionError, match="item -1 out of range"):
+        with pytest.raises(ValidationError, match="item -1 out of range"):
             oracle.eval({-1})
 
     def test_eval_count_increments_once_per_call(self):

@@ -99,6 +99,12 @@ class TestRunExperiment:
             assert r.evals == records[0].evals
             assert r.wall_ms >= 0.0
 
+    def test_zero_optimum_reads_as_ratio_one(self):
+        instance = Instance(2, 1, 1, (Modular((0.0, 0.0)),))
+        for r in run_experiment(instance, RunConfig("sampling_greedy", trials=2)):
+            assert r.F_opt == 0.0
+            assert r.ratio == 1.0
+
     def test_brute_force_single_self_ratio_record(self):
         instance = Instance(3, 1, 2, (helpers.zoo_coverage(), helpers.path_cut()))
         records = run_experiment(instance, RunConfig("brute_force", trials=7), "tiny")

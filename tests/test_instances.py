@@ -50,6 +50,10 @@ class TestValidation:
     def test_descriptors_checked_against_n(self):
         with pytest.raises(ValidationError, match="out of range for n=2"):
             Instance(2, 1, 1, (helpers.path_cut(),))
+        with pytest.raises(ValidationError, match="similarity row 0 has length 2, expected n=3"):
+            Instance(3, 1, 1, (FacilityLocation(((1.0, 2.0),)),))
+        with pytest.raises(ValidationError, match="modular values has 1 entries, expected n=3"):
+            Instance(3, 1, 1, (Modular((1.0,)),))
 
     def test_normalizes_function_sequence_to_tuple(self):
         instance = Instance(3, 1, 1, [helpers.zoo_coverage()])
@@ -122,12 +126,14 @@ class TestJsonRoundTrip:
             ('{"n": 1, "k": 1}', r"missing field\(s\): functions, l"),
             ('{"n": 1, "k": 1, "l": 1, "functions": {}}',
              "functions must be a JSON array"),
+            ('{"n":2,"k":1,"l":1,"functions":[5]}',
+             "function descriptor must be a JSON object"),
             ('{"n": 2, "k": 1, "l": 1, "functions": [{"type": "coverage", '
              '"universe_weights": 5, "covers": [[0], [0]]}]}',
              "coverage universe_weights must be a list"),
             ('{"n": 2, "k": 1, "l": 1, "functions": [{"type": "coverage", '
              '"universe_weights": [1.0], "covers": [[[0]], [0]]}]}',
-             r"covers\[0\] contains a non-integer element"),
+             r"covers\[0\] element must be an integer"),
             ('{"n": 2, "k": 1, "l": 1, "functions": [{"type": "graph_cut", '
              '"edges": [5]}]}',
              r"edges\[0\] must be a \(u, v, weight\) triple"),

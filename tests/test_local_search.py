@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from twostage.exceptions import PreconditionError
+from twostage.exceptions import ValidationError
 from twostage.functions import Coverage, Modular, Oracle
 from twostage.local_search import (
     GainAction,
@@ -72,7 +72,7 @@ class TestLocalGain:
 
     def test_oversized_set_rejected(self):
         oracle = Oracle(helpers.path_cut(), n=3)
-        with pytest.raises(PreconditionError, match="feasible set has 2 items, budget k=1"):
+        with pytest.raises(ValidationError, match="feasible set has 2 items, budget k=1"):
             local_gain(oracle, 2, {0, 1}, 1)
 
 
@@ -89,7 +89,7 @@ class TestScoreItems:
 
     def test_length_mismatch_rejected(self):
         oracle = Oracle(helpers.path_cut(), n=3)
-        with pytest.raises(PreconditionError, match="length mismatch: 1 vs 2"):
+        with pytest.raises(ValidationError, match="length mismatch: 1 vs 2"):
             score_items([oracle], [set(), set()], {0}, k=1)
 
     def test_base_value_cached_once_per_function(self):
@@ -118,8 +118,12 @@ class TestSelectTopL:
         assert select_top_l(scores, 2) == {0, 1}
 
     def test_request_larger_than_pool_rejected(self):
-        with pytest.raises(PreconditionError, match="cannot select top 3 from 2"):
+        with pytest.raises(ValidationError, match="cannot select top 3 from 2"):
             select_top_l([ScoredItem(0, 1.0), ScoredItem(1, 0.0)], 3)
+
+    def test_negative_request_rejected(self):
+        with pytest.raises(ValidationError, match="l must be non-negative"):
+            select_top_l([ScoredItem(0, 1.0)], -1)
 
 
 def _random_case(rng):

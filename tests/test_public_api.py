@@ -12,7 +12,7 @@ import twostage
 
 EXPECTED = {
     # exceptions
-    "TwoStageError", "ValidationError", "PreconditionError", "GuardExceededError",
+    "TwoStageError", "ValidationError", "GuardExceededError",
     # functions
     "Coverage", "FacilityLocation", "GraphCut", "Modular", "FunctionDescriptor",
     "Oracle", "descriptor_from_json",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from twostage.exceptions import GuardExceededError, PreconditionError
+from twostage.exceptions import GuardExceededError, ValidationError
 from twostage.functions import Coverage, Modular
 from twostage.instances import Instance, generate_instance
 from twostage.reference import (
@@ -46,7 +46,7 @@ class TestEvaluateFExact:
     def test_witness_never_contains_a_dummy(self):
         # Ids from n on are not items: evaluation rejects one rather than
         # enumerate witnesses around it.
-        with pytest.raises(PreconditionError, match="item 3 out of range"):
+        with pytest.raises(ValidationError, match="item 3 out of range"):
             evaluate_F_exact(zoo_instance(k=2), {0, 3})
 
     def test_guard_refuses_oversized_enumeration(self):
