@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Collection, Iterable
 
 from .exceptions import ValidationError
@@ -21,6 +22,15 @@ __all__ = [
     "FunctionDescriptor",
     "Oracle",
 ]
+
+
+def _int_text(x: object) -> str:
+    """``str(x)``, except that an int past the interpreter's digit limit
+    (4,300 digits by default), which ``str`` refuses, is named by its size."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{'-' if x < 0 else ''}<{abs(x).bit_length()}-bit integer>"
 
 
 def _check_int(label: str, value: object, minimum: int | None = None) -> int:
@@ -93,7 +103,8 @@ class Coverage:
             for u in cover:
                 if not 0 <= _check_int(f"covers[{i}] element", u) < m:
                     raise ValidationError(
-                        f"covers[{i}] references universe element {u}, universe has {m} elements"
+                        f"covers[{i}] references universe element {_int_text(u)}, "
+                        f"universe has {m} elements"
                     )
             normalized.append(frozenset(cover))
         object.__setattr__(self, "universe_weights", weights)
@@ -102,7 +113,7 @@ class Coverage:
     def validate_for(self, n: int) -> None:
         if len(self.covers) != n:
             raise ValidationError(
-                f"coverage covers has {len(self.covers)} entries, expected n={n}"
+                f"coverage covers has {len(self.covers)} entries, expected n={_int_text(n)}"
             )
 
     def value(self, items: Collection[int]) -> float:
@@ -123,6 +134,9 @@ class FacilityLocation:
     """Facility location: each client is served by its most similar selected
     item, value is the sum over clients.  ``similarity[c][x]`` is the affinity
     of client ``c`` for item ``x``; an empty selection serves nobody.
+
+    A value costs one C-level item getter and ``max`` per client, summed
+    with the builtin ``sum`` in client order.
     """
 
     similarity: tuple[tuple[float, ...], ...]
@@ -154,18 +168,25 @@ class FacilityLocation:
         for c, row in enumerate(self.similarity):
             if len(row) != n:
                 raise ValidationError(
-                    f"facility_location similarity row {c} has length {len(row)}, expected n={n}"
+                    f"facility_location similarity row {c} has length {len(row)}, "
+                    f"expected n={_int_text(n)}"
                 )
 
     def value(self, items: Collection[int]) -> float:
-        if not self.similarity:
+        rows = self.similarity
+        if not rows:
             return 0.0
-        n = len(self.similarity[0])
+        n = len(rows[0])
         # Ids from n on are skipped: perfbench --smoke values a set carrying id n.
         selected = [x for x in items if x < n]
         if not selected:
             return 0.0
-        return float(sum(max(row[x] for x in selected) for row in self.similarity))
+        # itemgetter of one id returns that client's similarity, of several a tuple.
+        if len(selected) == 1:
+            best = map(itemgetter(selected[0]), rows)
+        else:
+            best = map(max, map(itemgetter(*selected), rows))
+        return sum(best, 0.0)
 
 
 @dataclass(frozen=True)
@@ -173,6 +194,10 @@ class GraphCut:
     """Weighted graph cut: value of A is the total weight of edges with
     exactly one endpoint in A.  Non-monotone, the canonical stress case.
     Edges are (u, v, weight) triples over real item ids.
+
+    Each vertex keeps the ascending indices of its incident edges, so a value
+    costs the degree sum of A plus a sort of the cut edges, not |E|.  The cut
+    weights are summed with the builtin ``sum`` in edge order.
     """
 
     edges: tuple[tuple[int, int, float], ...]
@@ -184,6 +209,7 @@ class GraphCut:
         if not _is_list(self.edges):
             raise ValidationError("graph_cut edges must be a list")
         normalized = []
+        incident: dict[int, list[int]] = {}
         for i, edge in enumerate(self.edges):
             if not isinstance(edge, (tuple, list)) or len(edge) != 3:
                 raise ValidationError(f"edges[{i}] must be a (u, v, weight) triple")
@@ -191,23 +217,34 @@ class GraphCut:
             for endpoint in (u, v):
                 _check_int(f"edges[{i}] endpoint", endpoint, 0)
             if u == v:
-                raise ValidationError(f"edges[{i}] is a self-loop on vertex {u}")
+                raise ValidationError(f"edges[{i}] is a self-loop on vertex {_int_text(u)}")
             normalized.append((u, v, _check_weight(f"edges[{i}] weight", w)))
+            incident.setdefault(u, []).append(i)
+            incident.setdefault(v, []).append(i)
         _check_total("edge weight", (w for _, _, w in normalized))
         object.__setattr__(self, "edges", tuple(normalized))
+        # Derived, not fields: equality, hashing and the JSON form ignore them.
+        object.__setattr__(self, "_incident", {x: tuple(e) for x, e in incident.items()})
+        object.__setattr__(self, "_weights", tuple(w for _, _, w in normalized))
 
     def validate_for(self, n: int) -> None:
         for i, (u, v, _) in enumerate(self.edges):
             if u >= n or v >= n:
                 raise ValidationError(
-                    f"graph_cut edges[{i}] endpoint {max(u, v)} out of range for n={n}"
+                    f"graph_cut edges[{i}] endpoint {_int_text(max(u, v))} "
+                    f"out of range for n={_int_text(n)}"
                 )
 
     def value(self, items: Collection[int]) -> float:
-        # Ids from n on are never endpoints: perfbench --smoke values a set carrying id n.
-        return float(
-            sum(w for u, v, w in self.edges if (u in items) != (v in items))
-        )
+        incident = self._incident
+        cut: set[int] = set()
+        # Toggling each member's edges leaves those with one end in A: an edge
+        # toggled twice has both.  Ids from n on are never endpoints
+        # (perfbench --smoke values a set carrying id n).
+        for x in set(items):
+            if x in incident:
+                cut.symmetric_difference_update(incident[x])
+        return sum(map(self._weights.__getitem__, sorted(cut)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -233,7 +270,7 @@ class Modular:
     def validate_for(self, n: int) -> None:
         if len(self.values) != n:
             raise ValidationError(
-                f"modular values has {len(self.values)} entries, expected n={n}"
+                f"modular values has {len(self.values)} entries, expected n={_int_text(n)}"
             )
 
     def value(self, items: Collection[int]) -> float:
@@ -271,6 +308,8 @@ class Oracle:
         n = self.n
         for x in items:
             if not 0 <= x < n:
-                raise ValidationError(f"item {x} out of range, ground set has {n} items")
+                raise ValidationError(
+                    f"item {_int_text(x)} out of range, ground set has {_int_text(n)} items"
+                )
         self._count += 1
         return self.descriptor.value(items)

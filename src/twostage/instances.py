@@ -26,6 +26,7 @@ from .functions import (
     Modular,
     Oracle,
     _check_int,
+    _int_text,
 )
 
 __all__ = [
@@ -51,7 +52,7 @@ class Instance:
         for name in ("n", "k", "l"):
             _check_int(name, getattr(self, name), 1)
         if self.l > self.n:
-            raise ValidationError(f"l={self.l} exceeds n={self.n}")
+            raise ValidationError(f"l={_int_text(self.l)} exceeds n={_int_text(self.n)}")
         functions = tuple(self.functions)
         if not functions:
             raise ValidationError("functions must be non-empty")

@@ -4,7 +4,9 @@ Frozen expected values were derived by hand or by the independent reference
 implementations in helpers.py before the library code existed.
 """
 
+import itertools
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -19,6 +21,7 @@ from twostage.functions import (
 from twostage.instances import (
     Instance,
     descriptor_from_json,
+    generate_instance,
     parse_instance,
     serialize_instance,
 )
@@ -82,10 +85,37 @@ class TestConstruction:
             (lambda: Modular(("x",)), r"values\[0\] is not a number"),
             (lambda: GraphCut(((0.5, 1, 1.0),)), r"edges\[0\] endpoint must be an integer"),
             (lambda: GraphCut(((-1, 1, 1.0),)), r"edges\[0\] endpoint must be ≥ 0"),
-            # Past the 4,300-digit limit, formatting the int itself would raise.
+            # Past the 4,300-digit limit, str() of an int raises; a message
+            # names such an id by its size.
             (lambda: GraphCut(((-10**5000, 1, 1.0),)), r"edges\[0\] endpoint must be ≥ 0"),
+            (
+                lambda: Coverage((1.0,), (frozenset({-10**5000}),)),
+                r"covers\[0\] references universe element -<16610-bit integer>, universe has 1",
+            ),
+            (
+                lambda: GraphCut(((10**5000, 10**5000, 1.0),)),
+                r"edges\[0\] is a self-loop on vertex <16610-bit integer>$",
+            ),
+            (
+                lambda: Instance(1, 1, 1, (GraphCut(((0, 10**5000, 1.0),)),)),
+                r"edges\[0\] endpoint <16610-bit integer> out of range for n=1$",
+            ),
+            (
+                lambda: Instance(10**5000, 1, 1, (Modular((1.0,)),)),
+                r"modular values has 1 entries, expected n=<16610-bit integer>$",
+            ),
+            (
+                lambda: Instance(1, 1, 10**5000, (Modular((1.0,)),)),
+                r"^l=<16610-bit integer> exceeds n=1$",
+            ),
+            (
+                lambda: Oracle(Modular((1.0,)), 1).eval([10**5000]),
+                r"^item <16610-bit integer> out of range, ground set has 1 items$",
+            ),
         ],
-        ids=["modular-value", "endpoint-float", "endpoint-negative", "endpoint-huge-negative"],
+        ids=["modular-value", "endpoint-float", "endpoint-negative", "endpoint-huge-negative",
+             "huge-cover-element", "huge-self-loop", "huge-endpoint-vs-n", "huge-n-vs-length",
+             "huge-l-exceeds-n", "huge-oracle-item"],
     )
     def test_bad_entry_is_named(self, build, message):
         with pytest.raises(ValidationError, match=message):
@@ -190,6 +220,110 @@ class TestEval:
             assert Oracle(mod, n).eval(A) == pytest.approx(
                 helpers.ref_modular_value(mod.values, A), abs=1e-12
             )
+
+
+def _assert_same_float(got: float, want: float) -> None:
+    assert got == want and got.hex() == want.hex(), (got.hex(), want.hex())
+
+
+def _all_subsets(n: int) -> list[frozenset[int]]:
+    return [
+        frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)
+    ]
+
+
+# Adversarial finite weights: zero, the smallest subnormal, 2**53 (past which
+# + 1.0 is lost), 1e16, exact ties, and ordinary fractions.
+ADVERSARIAL_WEIGHTS = (0.0, 5e-324, 2.0**53, 1e16, 0.1, 0.2, 0.3, 1.0)
+
+# A 6-item cut on which the left-to-right sum makes trim(range(6)) keep items
+# 1 and 2 with a removal marginal of -2.0; the values must still match.
+ADVERSARIAL_CUT = GraphCut(
+    (
+        (0, 1, 0.3), (0, 2, 0.2), (0, 3, 2.0**53), (0, 4, 5e-324), (0, 5, 5e-324),
+        (1, 2, 1.0), (1, 4, 0.1), (1, 5, 0.0), (2, 4, 1.0), (3, 4, 1e16),
+    )
+)
+
+
+class TestBitExactValues:
+    """Facility location and graph cut must return the very floats of the
+    left-to-right references in helpers.py, not just close ones: digests,
+    trim decisions and CSV bytes rest on those bits."""
+
+    @staticmethod
+    def _check(descriptor, sets) -> None:
+        if isinstance(descriptor, FacilityLocation):
+            ref = lambda A: helpers.ref_facility_value(descriptor.similarity, A)
+        else:
+            ref = lambda A: helpers.ref_cut_value(descriptor.edges, A)
+        for A in sets:
+            _assert_same_float(descriptor.value(A), ref(A))
+
+    @pytest.mark.parametrize("n", [5, 8, 100])
+    @pytest.mark.parametrize("kind", ["facility_location", "graph_cut"])
+    def test_generated_instances(self, kind, n):
+        rng = random.Random(n)
+        (descriptor,) = generate_instance(kind, n, 1, 1, 1, seed=n).functions
+        sets = [helpers.random_subset(rng, range(n), max_size=10) for _ in range(200)]
+        sets += [frozenset(rng.sample(range(n), n // 2)) for _ in range(20)]
+        self._check(descriptor, sets)
+
+    def test_adversarial_cut_every_subset(self):
+        self._check(ADVERSARIAL_CUT, _all_subsets(6))
+
+    def test_adversarial_weights_every_subset(self):
+        rng = random.Random(7)
+        n = 6
+        for _ in range(20):
+            similarity = tuple(
+                tuple(rng.choice(ADVERSARIAL_WEIGHTS) for _ in range(n)) for _ in range(5)
+            )
+            edges = tuple(
+                (u, v, rng.choice(ADVERSARIAL_WEIGHTS))
+                for u, v in itertools.combinations(range(n), 2)
+                if rng.random() < 0.6
+            )
+            self._check(FacilityLocation(similarity), _all_subsets(n))
+            self._check(GraphCut(edges), _all_subsets(n))
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            FacilityLocation(((0.5, 0.1, 0.7), (2.0**53, 1.0, 1e16))),
+            ADVERSARIAL_CUT,
+            # Vertex 2 has no edges, and vertex 4 is past the last endpoint.
+            GraphCut(((0, 1, 0.3), (1, 3, 0.7), (0, 3, 5e-324))),
+            GraphCut(()),
+            FacilityLocation(()),
+        ],
+        ids=["facility", "cut", "isolated-vertex", "edgeless-cut", "no-clients"],
+    )
+    def test_edge_case_inputs(self, descriptor):
+        sets = [
+            [],
+            frozenset(),
+            [1, 1],
+            [0, 2, 0, 2, 1],
+            [2],
+            [4, 4, 0],
+            frozenset({9}),
+            {0, 1, 100},
+            [5, 0, 5, 3],
+        ]
+        self._check(descriptor, sets)
+
+    def test_graph_cut_index_is_not_a_field(self):
+        # The derived incidence lists stay out of ==, hash and the JSON form.
+        assert [f.name for f in fields(GraphCut)] == ["edges"]
+        a = GraphCut(((0, 1, 0.5), (1, 2, 0.25)))
+        b = GraphCut([[0, 1, 0.5], [1, 2, 0.25]])
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "GraphCut(edges=((0, 1, 0.5), (1, 2, 0.25)))"
+        assert serialize_instance(Instance(3, 1, 1, (a,))) == (
+            '{"n": 3, "k": 1, "l": 1, "functions": '
+            '[{"type": "graph_cut", "edges": [[0, 1, 0.5], [1, 2, 0.25]]}]}'
+        )
 
 
 class TestMarginal:
