@@ -288,6 +288,10 @@ class Oracle:
     Wraps a descriptor with its ground-set size, validates item ids, and
     counts every evaluation.  An oracle belongs to one solve or one report:
     ``Instance.oracles()`` builds fresh ones each time, and none is shared.
+    Its count is the calls made through it.  The solves of one
+    ``run_experiment`` call share recorded rounds: a replayed round adds its
+    recorded calls to the solve's ``evals`` without making them, so
+    ``evals`` can exceed the solve's own oracle counts.
     """
 
     __slots__ = ("descriptor", "n", "_count")

@@ -40,6 +40,16 @@ __all__ = [
 
 GENERATOR_KINDS = ("coverage", "facility_location", "graph_cut", "mixed")
 
+# Every solver round scores each unpicked item, so n bounds the work of a
+# round.  An instance of graph cuts alone ties n to no descriptor length, and
+# only this limit keeps such an n from reaching range(n).
+_MAX_N = 10**6
+
+
+def _check_n_limit(n: int) -> None:
+    if n > _MAX_N:
+        raise ValidationError(f"n={_int_text(n)} exceeds the ground-set limit of {_MAX_N}")
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -58,6 +68,7 @@ class Instance:
             raise ValidationError("functions must be non-empty")
         for f in functions:
             f.validate_for(self.n)
+        _check_n_limit(self.n)
         object.__setattr__(self, "functions", functions)
 
     @property
@@ -181,7 +192,7 @@ def generate_instance(
     """
     if kind not in GENERATOR_KINDS:
         raise ValidationError(f"unknown generator kind {kind!r}")
-    _check_int("n", n, 1)
+    _check_n_limit(_check_int("n", n, 1))
     _check_int("seed", seed)
     _check_int("m", m, 1)
     rng = random.Random(seed)

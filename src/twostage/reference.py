@@ -153,16 +153,33 @@ def evaluate_F_greedy(instance: Instance, S: Iterable[int]) -> ExactResult:
 def brute_force_optimum(instance: Instance) -> ExactResult:
     """Optimal reduced set by enumerating every S with |S| <= l.
 
-    Ties resolve to the lexicographically smallest S.
+    Ties resolve to the lexicographically smallest S.  Each function is
+    tabulated once over the subsets of size <= min(k, l); the value of every
+    S is then read from the tables, maximizing each function over the
+    subsets of S in evaluate_F_exact's order and summing in function order,
+    so it is the float evaluate_F_exact returns.
     """
     cost = brute_force_cost(instance)
     if cost > BRUTE_FORCE_GUARD:
         raise GuardExceededError(
             f"brute-force optimum needs {cost} oracle calls, limit {BRUTE_FORCE_GUARD}"
         )
-    best_val, best_tup = _best_subset(
-        lambda c: evaluate_F_exact(instance, c).value, range(instance.n), instance.l
-    )
+    k = min(instance.k, instance.l)
+    tables = [
+        {c: o.eval(frozenset(c)) for j in range(k + 1)
+         for c in itertools.combinations(range(instance.n), j)}
+        for o in instance.oracles()
+    ]
+
+    def value(S: tuple[int, ...]) -> float:
+        subsets = [c for j in range(min(k, len(S)) + 1) for c in itertools.combinations(S, j)]
+        total = 0.0
+        for table in tables:
+            # Like _best_subset, max replaces its best only on a strictly greater value.
+            total += max(map(table.__getitem__, subsets))
+        return total
+
+    best_val, best_tup = _best_subset(value, range(instance.n), instance.l)
     return ExactResult(best_val, frozenset(best_tup))
 
 

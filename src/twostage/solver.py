@@ -79,35 +79,70 @@ def apply_candidate(f: Oracle, T: Iterable[int], x: int, k: int) -> frozenset[in
     return trim(f, move.after) if move.gain > 0.0 else move.after
 
 
+@dataclass(frozen=True)
+class _Round:
+    """What the round from one state (S, Ts) costs: the shortlist M in id
+    order, the scoring phase's oracle calls, and, per pick, the next feasible
+    sets with the absorb and trim phases' oracle calls."""
+
+    M: tuple[int, ...]
+    score_evals: int
+    moves: dict[int, tuple[tuple[frozenset[int], ...], int]]
+
+
+# Transition table: a round's shortlist and moves depend only on its starting
+# state, never on the seed, so seeded solves of one instance can share them.
+_Transitions = dict[tuple[frozenset[int], tuple[frozenset[int], ...]], _Round]
+
+
 def _greedy_rounds(
     instance: Instance,
     rng: random.Random | None,
     on_round: Callable[[RoundState], None] | None,
     seed: int | None,
+    table: _Transitions | None = None,
 ) -> TwoStageSolution:
+    """The l rounds of both solvers.  A table shared by the solves of one
+    algorithm on one instance replays each state's recorded round and charges
+    its recorded oracle calls to evals instead of making them again; without
+    one, a solve makes every call it charges."""
     n, k, l = instance.n, instance.k, instance.l
     top = l if rng is not None else 1
     oracles = instance.oracles()
-    S: set[int] = set()
-    Ts: list[frozenset[int]] = [frozenset() for _ in oracles]
+
+    def calls() -> int:
+        return sum(o.eval_count for o in oracles)
+
+    S: frozenset[int] = frozenset()
+    Ts = tuple(frozenset() for _ in oracles)
+    evals = 0
     for round_index in range(1, l + 1):
-        unpicked = [x for x in range(n) if x not in S]
-        M = sorted(select_top_l(score_items(oracles, Ts, unpicked, k), min(top, len(unpicked))))
+        state = (S, Ts)
+        record = table.get(state) if table is not None else None
+        if record is None:
+            before = calls()
+            unpicked = [x for x in range(n) if x not in S]
+            scores = score_items(oracles, Ts, unpicked, k)
+            M = tuple(sorted(select_top_l(scores, min(top, len(unpicked)))))
+            record = _Round(M, calls() - before, {})
+            if table is not None:
+                table[state] = record
+        evals += record.score_evals
         slot = rng.randrange(top) if rng is not None else 0
         # A slot past the remaining items is blank: S and every T stay as they are.
-        if slot < len(M):
-            S.add(M[slot])
-            Ts = [apply_candidate(f, T, M[slot], k) for f, T in zip(oracles, Ts)]
+        if slot < len(record.M):
+            pick = record.M[slot]
+            move = record.moves.get(pick)
+            if move is None:
+                before = calls()
+                after = tuple(apply_candidate(f, T, pick, k) for f, T in zip(oracles, Ts))
+                move = record.moves[pick] = (after, calls() - before)
+            S = S | {pick}
+            Ts, cost = move
+            evals += cost
         if on_round is not None:
-            on_round(
-                RoundState(
-                    round_index,
-                    frozenset(S),
-                    tuple(Ts),
-                    sum(o.eval_count for o in oracles),
-                )
-            )
-    return TwoStageSolution(frozenset(S), tuple(Ts), sum(o.eval_count for o in oracles), seed)
+            on_round(RoundState(round_index, S, Ts, evals))
+    return TwoStageSolution(S, Ts, evals, seed)
 
 
 def sampling_greedy(

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from twostage import harness
 from twostage.cli import build_parser, main
 from twostage.instances import parse_instance
 
@@ -128,6 +129,20 @@ class TestSolve:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "missing field" in capsys.readouterr().err
+
+    def test_ground_set_past_limit_exit_2(self, tmp_path, capsys, monkeypatch):
+        # An edgeless cut ties n to no descriptor length; the solver must never
+        # be reached, since scoring would walk range(n).
+        monkeypatch.setattr(harness, "_solve", lambda *a: pytest.fail("solver reached"))
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"n": 1' + "0" * 100 + ', "k": 1, "l": 1, '
+            '"functions": [{"type": "graph_cut", "edges": []}]}'
+        )
+        code = main(["solve", "--instance", str(path), "--algo", "sampling-greedy",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "exceeds the ground-set limit of 1000000" in capsys.readouterr().err
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         instance = run_gen(tmp_path)

@@ -27,6 +27,7 @@ from twostage.instances import (
 )
 
 import helpers
+from helpers import ADVERSARIAL_CUT, ADVERSARIAL_WEIGHTS
 
 
 class TestConstruction:
@@ -230,20 +231,6 @@ def _all_subsets(n: int) -> list[frozenset[int]]:
     return [
         frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)
     ]
-
-
-# Adversarial finite weights: zero, the smallest subnormal, 2**53 (past which
-# + 1.0 is lost), 1e16, exact ties, and ordinary fractions.
-ADVERSARIAL_WEIGHTS = (0.0, 5e-324, 2.0**53, 1e16, 0.1, 0.2, 0.3, 1.0)
-
-# A 6-item cut on which the left-to-right sum makes trim(range(6)) keep items
-# 1 and 2 with a removal marginal of -2.0; the values must still match.
-ADVERSARIAL_CUT = GraphCut(
-    (
-        (0, 1, 0.3), (0, 2, 0.2), (0, 3, 2.0**53), (0, 4, 5e-324), (0, 5, 5e-324),
-        (1, 2, 1.0), (1, 4, 0.1), (1, 5, 0.0), (2, 4, 1.0), (3, 4, 1e16),
-    )
-)
 
 
 class TestBitExactValues:

@@ -1,6 +1,7 @@
 """Harness tests: run configs, trial sweeps, ratio plumbing, CSV output."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import random
@@ -19,8 +20,13 @@ from twostage.harness import (
     run_experiment,
 )
 from twostage.instances import GENERATOR_KINDS, Instance, generate_instance
-from twostage.reference import brute_force_cost, evaluate_F_exact
-from twostage.solver import sampling_greedy
+from twostage.reference import brute_force_cost, brute_force_optimum, evaluate_F_exact
+from twostage.solver import (
+    _greedy_rounds,
+    feasible_sets_value,
+    replacement_greedy,
+    sampling_greedy,
+)
 
 import helpers
 
@@ -158,6 +164,68 @@ class TestRunExperiment:
             for algorithm in ("sampling_greedy", "replacement_greedy", "random_baseline"):
                 for r in run_experiment(instance, RunConfig(algorithm, trials=4)):
                     assert 0.0 <= r.ratio <= 1.0 + 1e-12
+
+
+# The five acceptance grid cells, then two shapes with n - l + 1 < l, whose
+# late rounds have blank slots.
+TABLE_CELLS = [(5, 1, 1, 2), (6, 2, 2, 3), (7, 3, 2, 4), (8, 2, 1, 3), (6, 3, 2, 2),
+               (5, 2, 2, 4), (4, 2, 2, 4)]
+TABLE_SOLVERS = {
+    "sampling_greedy": (sampling_greedy, random.Random),
+    "replacement_greedy": (lambda instance, seed, on_round=None:
+                           replacement_greedy(instance, on_round), lambda seed: None),
+}
+
+
+def _table_instances():
+    for kind in GENERATOR_KINDS:
+        for j, (n, m, k, l) in enumerate(TABLE_CELLS):
+            yield generate_instance(kind, n, m, k, l, seed=300 + j)
+
+
+class TestTransitionTable:
+    """run_experiment shares one transition table and one report memo across
+    its trials; every record must be the one a separate solve gives."""
+
+    @pytest.mark.parametrize("f_eval_mode", ["auto", "greedy"])
+    @pytest.mark.parametrize("algorithm", sorted(TABLE_SOLVERS))
+    def test_records_match_separate_solves(self, algorithm, f_eval_mode):
+        solve = TABLE_SOLVERS[algorithm][0]
+        trials = 40 if algorithm == "sampling_greedy" else 3
+        blank = 0
+        for instance in _table_instances():
+            config = RunConfig(algorithm, trials=trials, base_seed=50, f_eval_mode=f_eval_mode)
+            records = run_experiment(instance, config, "cell")
+            opt = brute_force_optimum(instance).value
+            expected = []
+            for seed in range(50, 50 + trials):
+                solution = solve(instance, seed)
+                reported, mode = evaluate_reported_F(instance, solution.S, f_eval_mode)
+                sum_fT = feasible_sets_value(instance, solution.Ts)
+                reported = max(reported, sum_fT)
+                ratio = 1.0 if opt == 0.0 else reported / opt
+                expected.append(TrialRecord("cell", algorithm, seed, reported, mode, sum_fT,
+                                            opt, ratio, solution.evals, 0.0))
+                blank += len(solution.S) < instance.l
+            assert [dataclasses.replace(r, wall_ms=0.0) for r in records] == expected
+        # Only sampling ever draws a blank slot; the blank cells must reach one.
+        assert (blank > 0) == (algorithm == "sampling_greedy")
+
+    @pytest.mark.parametrize("algorithm", sorted(TABLE_SOLVERS))
+    def test_shared_table_replays_every_round_state(self, algorithm):
+        solve, make_rng = TABLE_SOLVERS[algorithm]
+        seeds = 30 if algorithm == "sampling_greedy" else 3
+        for instance in _table_instances():
+            table = {}
+            for seed in range(seeds):
+                alone, shared = [], []
+                want = solve(instance, seed, on_round=alone.append)
+                got = _greedy_rounds(instance, make_rng(seed), shared.append,
+                                     want.seed, table)
+                assert got == want
+                assert shared == alone
+            # The solves share states, so the table holds fewer than all their rounds.
+            assert len(table) < seeds * instance.l
 
 
 class TestCsv:

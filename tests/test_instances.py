@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from twostage import instances
 from twostage.exceptions import ValidationError
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular
 from twostage.instances import (
@@ -54,6 +55,24 @@ class TestValidation:
             Instance(3, 1, 1, (FacilityLocation(((1.0, 2.0),)),))
         with pytest.raises(ValidationError, match="modular values has 1 entries, expected n=3"):
             Instance(3, 1, 1, (Modular((1.0,)),))
+
+    def test_ground_set_limit(self, monkeypatch):
+        # Nothing here may build range(n): generation past the limit must fail
+        # before any descriptor is generated.
+        monkeypatch.setattr(
+            instances, "_generate_descriptor", lambda *a: pytest.fail("generated past the limit")
+        )
+        assert Instance(10**6, 1, 1, (GraphCut(()),)).n == 10**6
+        for n, text in ((10**6 + 1, "1000001"), (10**100, "1" + "0" * 100)):
+            message = f"^n={text} exceeds the ground-set limit of 1000000$"
+            with pytest.raises(ValidationError, match=message):
+                Instance(n, 1, 1, (GraphCut(()),))
+            with pytest.raises(ValidationError, match=message):
+                parse_instance(
+                    f'{{"n": {n}, "k": 1, "l": 1, "functions": [{{"type": "graph_cut", "edges": []}}]}}'
+                )
+            with pytest.raises(ValidationError, match=message):
+                generate_instance("graph_cut", n, 1, 1, 1, seed=0)
 
     def test_normalizes_function_sequence_to_tuple(self):
         instance = Instance(3, 1, 1, [helpers.zoo_coverage()])

@@ -1,16 +1,18 @@
 """Reference-oracle tests: exact evaluation, brute force, baselines."""
 
+import itertools
 import random
 
 import pytest
 
 from twostage.exceptions import GuardExceededError, ValidationError
-from twostage.functions import Coverage, Modular
-from twostage.instances import Instance, generate_instance
+from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular
+from twostage.instances import GENERATOR_KINDS, Instance, generate_instance
 from twostage.reference import (
     BRUTE_FORCE_GUARD,
     EXACT_EVAL_GUARD,
     ExactResult,
+    _best_subset,
     brute_force_cost,
     brute_force_optimum,
     evaluate_F_exact,
@@ -21,6 +23,7 @@ from twostage.reference import (
 from twostage.solver import feasible_sets_value, replacement_greedy, sampling_greedy
 
 import helpers
+from helpers import ADVERSARIAL_CUT, ADVERSARIAL_WEIGHTS
 
 
 def zoo_instance(k=1, l=2):
@@ -131,6 +134,65 @@ class TestBruteForceOptimum:
         instance = generate_instance("graph_cut", 6, 2, 2, 3, seed=11)
         result = brute_force_optimum(instance)
         assert evaluate_F_exact(instance, result.witness).value == result.value
+
+
+def _adversarial_instances():
+    """Instances over ADVERSARIAL_CUT and over FL, cut and modular descriptors
+    drawn from ADVERSARIAL_WEIGHTS, where many subsets tie exactly."""
+    for k, l in ((1, 2), (2, 3), (3, 6)):
+        yield Instance(6, k, l, (ADVERSARIAL_CUT,))
+    rng = random.Random(17)
+    n = 6
+    for _ in range(12):
+        similarity = tuple(
+            tuple(rng.choice(ADVERSARIAL_WEIGHTS) for _ in range(n)) for _ in range(3)
+        )
+        edges = tuple(
+            (u, v, rng.choice(ADVERSARIAL_WEIGHTS))
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < 0.6
+        )
+        values = tuple(rng.choice(ADVERSARIAL_WEIGHTS) for _ in range(n))
+        functions = (FacilityLocation(similarity), GraphCut(edges), Modular(values))
+        k, l = rng.randrange(1, 4), rng.randrange(1, n + 1)
+        yield Instance(n, k, l, functions)
+        for f in functions:
+            yield Instance(n, k, l, (f,))
+
+
+class TestTabulatedBruteForce:
+    """brute_force_optimum reads F(S) from per-function tables; it must give
+    the float and the witness of enumerating evaluate_F_exact over every S."""
+
+    @staticmethod
+    def _check(instance) -> None:
+        want_value, want_tup = _best_subset(
+            lambda c: evaluate_F_exact(instance, c).value, range(instance.n), instance.l
+        )
+        got = brute_force_optimum(instance)
+        assert got.value == want_value and got.value.hex() == want_value.hex()
+        assert got.witness == frozenset(want_tup)
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_generated_instances(self, kind):
+        rng = random.Random(GENERATOR_KINDS.index(kind))
+        for _ in range(8):
+            n = rng.randrange(3, 8)
+            self._check(generate_instance(
+                kind, n, rng.randrange(1, 4), rng.randrange(1, 4),
+                rng.randrange(1, n + 1), seed=rng.randrange(1000),
+            ))
+
+    def test_modular_instances(self):
+        rng = random.Random(5)
+        for _ in range(5):
+            n = rng.randrange(3, 7)
+            self._check(Instance(n, rng.randrange(1, 3), rng.randrange(1, n + 1),
+                                 (helpers.random_modular(rng, n),)))
+
+    def test_adversarial_weights(self):
+        for instance in _adversarial_instances():
+            self._check(instance)
 
 
 class TestReplacementGreedy:

@@ -21,6 +21,7 @@ from twostage.solver import (
 )
 
 import helpers
+from helpers import ADVERSARIAL_CUT
 
 
 class TestTrim:
@@ -62,6 +63,20 @@ class TestTrim:
             # The random descriptors carry non-unit float weights.
             if descriptor.monotone:
                 assert A == B
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: graph-cut values summed left to right make trim keep "
+        "items 1 and 2 of ADVERSARIAL_CUT with removal marginal -2.0; exact "
+        "accumulation must turn this into a plain pass",
+    )
+    def test_adversarial_cut_keeps_no_harmful_member(self):
+        oracle = Oracle(ADVERSARIAL_CUT, 6)
+        kept = trim(oracle, range(6))
+        value = oracle.eval(kept)
+        harmful = [x for x in sorted(kept) if value - oracle.eval(kept - {x}) < 0]
+        assert harmful == []
 
 
 class TestApplyCandidate:
