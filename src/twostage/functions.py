@@ -282,26 +282,44 @@ class Modular:
 FunctionDescriptor = Coverage | FacilityLocation | GraphCut | Modular
 
 
+# Item set -> value, shared by the oracles of one function (see Oracle).
+ValueMemo = dict[frozenset[int], float]
+
+# A value memo stops growing at this many sets; sets past it are valued
+# afresh on every call.  Bounds the memo's memory on large instances, where
+# few sets repeat anyway.
+_MEMO_LIMIT = 1 << 12
+
+
 class Oracle:
     """Evaluation oracle for one descriptor over the ground set ``0 .. n-1``.
 
     Wraps a descriptor with its ground-set size, validates item ids, and
     counts every evaluation.  An oracle belongs to one solve or one report:
     ``Instance.oracles()`` builds fresh ones each time, and none is shared.
-    Its count is the calls made through it.  The solves of one
-    ``run_experiment`` call share recorded rounds: a replayed round adds its
-    recorded calls to the solve's ``evals`` without making them, so
-    ``evals`` can exceed the solve's own oracle counts.
+
+    ``memo`` (optional) maps item sets to values.  Oracles given the same
+    memo answer a set valued before from it, so the solves of one experiment
+    run do not recompute the sets they share.  Every call still counts, and
+    the value is the same float: each descriptor values a set independently
+    of the order in which it iterates.  An oracle with a memo treats its
+    argument as a set, duplicate ids included.
     """
 
-    __slots__ = ("descriptor", "n", "_count")
+    __slots__ = ("descriptor", "n", "_count", "_memo")
 
-    def __init__(self, descriptor: FunctionDescriptor, n: int) -> None:
+    def __init__(
+        self,
+        descriptor: FunctionDescriptor,
+        n: int,
+        memo: ValueMemo | None = None,
+    ) -> None:
         _check_int("n", n, 1)
         descriptor.validate_for(n)
         self.descriptor = descriptor
         self.n = n
         self._count = 0
+        self._memo = memo
 
     @property
     def eval_count(self) -> int:
@@ -309,6 +327,14 @@ class Oracle:
 
     def eval(self, items: Collection[int]) -> float:
         """Value of the item set.  Counts as one oracle call."""
+        memo = self._memo
+        if memo is not None:
+            items = frozenset(items)
+            value = memo.get(items)
+            if value is not None:
+                # A memoised set was validated when it was first valued.
+                self._count += 1
+                return value
         n = self.n
         for x in items:
             if not 0 <= x < n:
@@ -316,4 +342,7 @@ class Oracle:
                     f"item {_int_text(x)} out of range, ground set has {_int_text(n)} items"
                 )
         self._count += 1
-        return self.descriptor.value(items)
+        value = self.descriptor.value(items)
+        if memo is not None and len(memo) < _MEMO_LIMIT:
+            memo[items] = value
+        return value

@@ -13,14 +13,13 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-import random
 import statistics
 import time
 from dataclasses import dataclass, fields
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .exceptions import GuardExceededError, ValidationError
-from .functions import _check_int
+from .functions import ValueMemo, _check_int
 from .instances import Instance
 from .reference import (
     brute_force_cost,
@@ -29,7 +28,7 @@ from .reference import (
     evaluate_F_greedy,
     random_baseline,
 )
-from .solver import _greedy_rounds, _Transitions, feasible_sets_value
+from .solver import feasible_sets_value, replacement_greedy, sampling_greedy
 
 __all__ = [
     "ALGORITHMS",
@@ -120,12 +119,11 @@ def _ratio(reported: float, optimum: float) -> float:
     return reported / optimum
 
 
-def _solve(instance: Instance, algorithm: str, seed: int, table: _Transitions):
-    # The greedy solvers' bodies, here sharing one transition table per run.
+def _solve(instance: Instance, algorithm: str, seed: int, memos: Sequence[ValueMemo]):
     if algorithm == "sampling_greedy":
-        return _greedy_rounds(instance, random.Random(seed), None, seed, table)
+        return sampling_greedy(instance, seed, memos=memos)
     if algorithm == "replacement_greedy":
-        return _greedy_rounds(instance, None, None, None, table)
+        return replacement_greedy(instance, memos=memos)
     return random_baseline(instance, seed)
 
 
@@ -145,11 +143,12 @@ def run_experiment(
     The optimum (hence F_opt and ratio) is filled in whenever the instance
     fits the brute-force guard; larger instances get blank ratio columns.
 
-    Every trial starts from the same state, so the trials share one table of
-    solver round transitions, and the reports of a final S and of final
-    feasible sets are computed once per run.  Records are those of separate
-    solves, evals included: a replayed round charges its recorded oracle
-    calls.  Only wall_ms, which times the solve alone, reads the savings.
+    Every trial starts from the same state, so the trials' solves evaluate
+    many of the same sets: they share one value memo per function, and the
+    reports of a final S and of final feasible sets are computed once per
+    run.  Records are those of separate solves, evals included, since every
+    oracle call is still made and counted.  Only wall_ms, which times the
+    solve alone, reads the savings.
     """
     start = time.perf_counter()
     try:
@@ -168,7 +167,7 @@ def run_experiment(
         )
         return [record]
 
-    table: _Transitions = {}
+    memos: list[ValueMemo] = [{} for _ in instance.functions]
     report = functools.cache(
         functools.partial(evaluate_reported_F, instance, mode=config.f_eval_mode)
     )
@@ -177,7 +176,7 @@ def run_experiment(
     def one_trial(t: int) -> TrialRecord:
         seed = config.base_seed + t
         start = time.perf_counter()
-        solution = _solve(instance, config.algorithm, seed, table)
+        solution = _solve(instance, config.algorithm, seed, memos)
         wall_ms = (time.perf_counter() - start) * 1000.0
         reported, mode_used = report(solution.S)
         sum_fT = feasible_value(solution.Ts)

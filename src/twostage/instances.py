@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .exceptions import ValidationError
 from .functions import (
@@ -25,6 +25,7 @@ from .functions import (
     GraphCut,
     Modular,
     Oracle,
+    ValueMemo,
     _check_int,
     _int_text,
 )
@@ -75,9 +76,12 @@ class Instance:
     def m(self) -> int:
         return len(self.functions)
 
-    def oracles(self) -> list[Oracle]:
-        """Fresh counting oracles over this instance's ground set."""
-        return [Oracle(f, self.n) for f in self.functions]
+    def oracles(self, memos: Sequence[ValueMemo] | None = None) -> list[Oracle]:
+        """Fresh counting oracles over this instance's ground set; memos, when
+        given, holds one value memo per function (see Oracle)."""
+        if memos is None:
+            return [Oracle(f, self.n) for f in self.functions]
+        return [Oracle(f, self.n, memo) for f, memo in zip(self.functions, memos, strict=True)]
 
 
 def _decode_json(data: bytes | str, what: str) -> object:

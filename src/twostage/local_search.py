@@ -8,8 +8,7 @@ an item only ever enters a set when it strictly improves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exceptions import ValidationError
 from .functions import Oracle
@@ -23,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GainAction:
+class GainAction(NamedTuple):
     """Outcome of the local-search decision for one (item, set) pair.
 
     gain is non-negative; after is the set the best move produces, which is
@@ -35,8 +33,7 @@ class GainAction:
     after: frozenset[int]
 
 
-@dataclass(frozen=True)
-class ScoredItem:
+class ScoredItem(NamedTuple):
     item: int
     total_score: float
 

@@ -34,6 +34,9 @@ __all__ = [
 
 EXACT_EVAL_GUARD = 10**6
 BRUTE_FORCE_GUARD = 10**7
+# Entries, over all functions, past which brute_force_optimum values each S
+# with evaluate_F_exact instead of tabulating (about 7 MB of 3-item keys).
+_TABLE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -150,20 +153,11 @@ def evaluate_F_greedy(instance: Instance, S: Iterable[int]) -> ExactResult:
     return _summed(_greedy_feasible(o, S, instance.k) for o in instance.oracles())
 
 
-def brute_force_optimum(instance: Instance) -> ExactResult:
-    """Optimal reduced set by enumerating every S with |S| <= l.
-
-    Ties resolve to the lexicographically smallest S.  Each function is
-    tabulated once over the subsets of size <= min(k, l); the value of every
-    S is then read from the tables, maximizing each function over the
-    subsets of S in evaluate_F_exact's order and summing in function order,
-    so it is the float evaluate_F_exact returns.
-    """
-    cost = brute_force_cost(instance)
-    if cost > BRUTE_FORCE_GUARD:
-        raise GuardExceededError(
-            f"brute-force optimum needs {cost} oracle calls, limit {BRUTE_FORCE_GUARD}"
-        )
+def _tabulated_F(instance: Instance) -> Callable[[tuple[int, ...]], float]:
+    """F on reduced sets of at most l items, read from per-function tables of
+    the subsets of size <= min(k, l).  Each function is maximized over the
+    subsets of S in evaluate_F_exact's order and the sum runs in function
+    order, so F(S) is the float evaluate_F_exact returns."""
     k = min(instance.k, instance.l)
     tables = [
         {c: o.eval(frozenset(c)) for j in range(k + 1)
@@ -179,6 +173,25 @@ def brute_force_optimum(instance: Instance) -> ExactResult:
             total += max(map(table.__getitem__, subsets))
         return total
 
+    return value
+
+
+def brute_force_optimum(instance: Instance) -> ExactResult:
+    """Optimal reduced set by enumerating every S with |S| <= l.
+
+    Ties resolve to the lexicographically smallest S.  Values come from
+    tabulated functions (_tabulated_F) while the tables fit in _TABLE_LIMIT
+    entries, and from evaluate_F_exact past it; both give the same floats.
+    """
+    cost = brute_force_cost(instance)
+    if cost > BRUTE_FORCE_GUARD:
+        raise GuardExceededError(
+            f"brute-force optimum needs {cost} oracle calls, limit {BRUTE_FORCE_GUARD}"
+        )
+    if instance.m * exact_eval_cost(instance.n, min(instance.k, instance.l)) <= _TABLE_LIMIT:
+        value = _tabulated_F(instance)
+    else:
+        value = lambda S: evaluate_F_exact(instance, S).value
     best_val, best_tup = _best_subset(value, range(instance.n), instance.l)
     return ExactResult(best_val, frozenset(best_tup))
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .functions import Oracle
+from .functions import Oracle, ValueMemo
 from .instances import Instance
 from .local_search import local_gain, score_items, select_top_l
 
@@ -79,76 +79,44 @@ def apply_candidate(f: Oracle, T: Iterable[int], x: int, k: int) -> frozenset[in
     return trim(f, move.after) if move.gain > 0.0 else move.after
 
 
-@dataclass(frozen=True)
-class _Round:
-    """What the round from one state (S, Ts) costs: the shortlist M in id
-    order, the scoring phase's oracle calls, and, per pick, the next feasible
-    sets with the absorb and trim phases' oracle calls."""
-
-    M: tuple[int, ...]
-    score_evals: int
-    moves: dict[int, tuple[tuple[frozenset[int], ...], int]]
-
-
-# Transition table: a round's shortlist and moves depend only on its starting
-# state, never on the seed, so seeded solves of one instance can share them.
-_Transitions = dict[tuple[frozenset[int], tuple[frozenset[int], ...]], _Round]
-
-
 def _greedy_rounds(
     instance: Instance,
     rng: random.Random | None,
     on_round: Callable[[RoundState], None] | None,
     seed: int | None,
-    table: _Transitions | None = None,
+    memos: Sequence[ValueMemo] | None,
 ) -> TwoStageSolution:
-    """The l rounds of both solvers.  A table shared by the solves of one
-    algorithm on one instance replays each state's recorded round and charges
-    its recorded oracle calls to evals instead of making them again; without
-    one, a solve makes every call it charges."""
     n, k, l = instance.n, instance.k, instance.l
     top = l if rng is not None else 1
-    oracles = instance.oracles()
-
-    def calls() -> int:
-        return sum(o.eval_count for o in oracles)
-
-    S: frozenset[int] = frozenset()
-    Ts = tuple(frozenset() for _ in oracles)
-    evals = 0
+    oracles = instance.oracles(memos)
+    S: set[int] = set()
+    Ts: list[frozenset[int]] = [frozenset() for _ in oracles]
     for round_index in range(1, l + 1):
-        state = (S, Ts)
-        record = table.get(state) if table is not None else None
-        if record is None:
-            before = calls()
-            unpicked = [x for x in range(n) if x not in S]
-            scores = score_items(oracles, Ts, unpicked, k)
-            M = tuple(sorted(select_top_l(scores, min(top, len(unpicked)))))
-            record = _Round(M, calls() - before, {})
-            if table is not None:
-                table[state] = record
-        evals += record.score_evals
+        unpicked = [x for x in range(n) if x not in S]
+        M = sorted(select_top_l(score_items(oracles, Ts, unpicked, k), min(top, len(unpicked))))
         slot = rng.randrange(top) if rng is not None else 0
         # A slot past the remaining items is blank: S and every T stay as they are.
-        if slot < len(record.M):
-            pick = record.M[slot]
-            move = record.moves.get(pick)
-            if move is None:
-                before = calls()
-                after = tuple(apply_candidate(f, T, pick, k) for f, T in zip(oracles, Ts))
-                move = record.moves[pick] = (after, calls() - before)
-            S = S | {pick}
-            Ts, cost = move
-            evals += cost
+        if slot < len(M):
+            S.add(M[slot])
+            Ts = [apply_candidate(f, T, M[slot], k) for f, T in zip(oracles, Ts)]
         if on_round is not None:
-            on_round(RoundState(round_index, S, Ts, evals))
-    return TwoStageSolution(S, Ts, evals, seed)
+            on_round(
+                RoundState(
+                    round_index,
+                    frozenset(S),
+                    tuple(Ts),
+                    sum(o.eval_count for o in oracles),
+                )
+            )
+    return TwoStageSolution(frozenset(S), tuple(Ts), sum(o.eval_count for o in oracles), seed)
 
 
 def sampling_greedy(
     instance: Instance,
     seed: int,
     on_round: Callable[[RoundState], None] | None = None,
+    *,
+    memos: Sequence[ValueMemo] | None = None,
 ) -> TwoStageSolution:
     """Run l rounds of randomized top-l candidate sampling with trimming.
 
@@ -157,18 +125,23 @@ def sampling_greedy(
     with the seeded generator, and updates every feasible set that strictly
     gains.  When fewer than l items remain, some slots are blank and drawing
     one selects nothing that round.  Identical (instance, seed) pairs give
-    identical output.
+    identical output.  memos, one value memo per function (see Oracle), lets
+    solves of one instance share the values of the sets they evaluate; the
+    output, evals included, is the same with or without it.
     """
-    return _greedy_rounds(instance, random.Random(seed), on_round, seed)
+    return _greedy_rounds(instance, random.Random(seed), on_round, seed, memos)
 
 
 def replacement_greedy(
     instance: Instance,
     on_round: Callable[[RoundState], None] | None = None,
+    *,
+    memos: Sequence[ValueMemo] | None = None,
 ) -> TwoStageSolution:
     """Deterministic sibling of sampling_greedy: each round takes the single
-    highest-scored remaining item instead of sampling from the top l."""
-    return _greedy_rounds(instance, None, on_round, None)
+    highest-scored remaining item instead of sampling from the top l.
+    memos is as in sampling_greedy."""
+    return _greedy_rounds(instance, None, on_round, None, memos)
 
 
 def feasible_sets_value(instance: Instance, Ts: Sequence[Iterable[int]]) -> float:

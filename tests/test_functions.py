@@ -10,6 +10,7 @@ from dataclasses import fields
 
 import pytest
 
+from twostage import functions
 from twostage.exceptions import ValidationError
 from twostage.functions import (
     Coverage,
@@ -221,6 +222,54 @@ class TestEval:
             assert Oracle(mod, n).eval(A) == pytest.approx(
                 helpers.ref_modular_value(mod.values, A), abs=1e-12
             )
+
+
+class TestValueMemo:
+    """Oracles that share a memo answer repeated sets from it: the same float
+    as a fresh evaluation, and one counted call each time."""
+
+    @staticmethod
+    def _descriptors():
+        rng = random.Random(23)
+        for _ in range(6):
+            n = rng.randrange(3, 7)
+            yield n, helpers.random_coverage(rng, n)
+            yield n, helpers.random_facility(rng, n)
+            yield n, helpers.random_graph_cut(rng, n)
+            yield n, helpers.random_modular(rng, n)
+            yield n, FacilityLocation(tuple(
+                tuple(rng.choice(ADVERSARIAL_WEIGHTS) for _ in range(n)) for _ in range(3)))
+        yield 6, ADVERSARIAL_CUT
+
+    def test_memoised_values_are_the_same_floats(self):
+        for n, descriptor in self._descriptors():
+            memo = {}
+            first, second = Oracle(descriptor, n, memo), Oracle(descriptor, n, memo)
+            subsets = _all_subsets(n)
+            for A in subsets:
+                want = Oracle(descriptor, n).eval(A)
+                _assert_same_float(first.eval(A), want)
+                # A mutable set of the same items hits the entry A made.
+                _assert_same_float(second.eval(set(A)), want)
+            assert len(memo) == len(subsets)
+            assert first.eval_count == second.eval_count == len(subsets)
+
+    def test_out_of_range_items_never_enter_the_memo(self):
+        memo = {}
+        oracle = Oracle(helpers.zoo_coverage(), 3, memo)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="item 3 out of range"):
+                oracle.eval({0, 3})
+        assert memo == {} and oracle.eval_count == 0
+
+    def test_memo_stops_growing_at_its_limit(self, monkeypatch):
+        monkeypatch.setattr(functions, "_MEMO_LIMIT", 3)
+        memo = {}
+        oracle = Oracle(helpers.path_cut(), 3, memo)
+        values = [oracle.eval(A) for A in _all_subsets(3)]
+        assert len(memo) == 3
+        assert [oracle.eval(A) for A in _all_subsets(3)] == values
+        assert oracle.eval_count == 16
 
 
 def _assert_same_float(got: float, want: float) -> None:

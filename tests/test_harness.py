@@ -21,12 +21,7 @@ from twostage.harness import (
 )
 from twostage.instances import GENERATOR_KINDS, Instance, generate_instance
 from twostage.reference import brute_force_cost, brute_force_optimum, evaluate_F_exact
-from twostage.solver import (
-    _greedy_rounds,
-    feasible_sets_value,
-    replacement_greedy,
-    sampling_greedy,
-)
+from twostage.solver import feasible_sets_value, replacement_greedy, sampling_greedy
 
 import helpers
 
@@ -168,32 +163,32 @@ class TestRunExperiment:
 
 # The five acceptance grid cells, then two shapes with n - l + 1 < l, whose
 # late rounds have blank slots.
-TABLE_CELLS = [(5, 1, 1, 2), (6, 2, 2, 3), (7, 3, 2, 4), (8, 2, 1, 3), (6, 3, 2, 2),
-               (5, 2, 2, 4), (4, 2, 2, 4)]
-TABLE_SOLVERS = {
-    "sampling_greedy": (sampling_greedy, random.Random),
-    "replacement_greedy": (lambda instance, seed, on_round=None:
-                           replacement_greedy(instance, on_round), lambda seed: None),
+MEMO_CELLS = [(5, 1, 1, 2), (6, 2, 2, 3), (7, 3, 2, 4), (8, 2, 1, 3), (6, 3, 2, 2),
+              (5, 2, 2, 4), (4, 2, 2, 4)]
+MEMO_SOLVERS = {
+    "sampling_greedy": sampling_greedy,
+    "replacement_greedy": lambda instance, seed, on_round=None, **kw:
+        replacement_greedy(instance, on_round, **kw),
 }
 
 
-def _table_instances():
+def _memo_instances():
     for kind in GENERATOR_KINDS:
-        for j, (n, m, k, l) in enumerate(TABLE_CELLS):
+        for j, (n, m, k, l) in enumerate(MEMO_CELLS):
             yield generate_instance(kind, n, m, k, l, seed=300 + j)
 
 
-class TestTransitionTable:
-    """run_experiment shares one transition table and one report memo across
-    its trials; every record must be the one a separate solve gives."""
+class TestSharedValueMemo:
+    """run_experiment shares one value memo per function and one report memo
+    across its trials; every record must be the one a separate solve gives."""
 
     @pytest.mark.parametrize("f_eval_mode", ["auto", "greedy"])
-    @pytest.mark.parametrize("algorithm", sorted(TABLE_SOLVERS))
+    @pytest.mark.parametrize("algorithm", sorted(MEMO_SOLVERS))
     def test_records_match_separate_solves(self, algorithm, f_eval_mode):
-        solve = TABLE_SOLVERS[algorithm][0]
+        solve = MEMO_SOLVERS[algorithm]
         trials = 40 if algorithm == "sampling_greedy" else 3
         blank = 0
-        for instance in _table_instances():
+        for instance in _memo_instances():
             config = RunConfig(algorithm, trials=trials, base_seed=50, f_eval_mode=f_eval_mode)
             records = run_experiment(instance, config, "cell")
             opt = brute_force_optimum(instance).value
@@ -211,21 +206,22 @@ class TestTransitionTable:
         # Only sampling ever draws a blank slot; the blank cells must reach one.
         assert (blank > 0) == (algorithm == "sampling_greedy")
 
-    @pytest.mark.parametrize("algorithm", sorted(TABLE_SOLVERS))
-    def test_shared_table_replays_every_round_state(self, algorithm):
-        solve, make_rng = TABLE_SOLVERS[algorithm]
+    @pytest.mark.parametrize("algorithm", sorted(MEMO_SOLVERS))
+    def test_shared_memos_give_the_same_round_states(self, algorithm):
+        solve = MEMO_SOLVERS[algorithm]
         seeds = 30 if algorithm == "sampling_greedy" else 3
-        for instance in _table_instances():
-            table = {}
+        for instance in _memo_instances():
+            memos = [{} for _ in instance.functions]
+            calls = 0
             for seed in range(seeds):
                 alone, shared = [], []
                 want = solve(instance, seed, on_round=alone.append)
-                got = _greedy_rounds(instance, make_rng(seed), shared.append,
-                                     want.seed, table)
+                got = solve(instance, seed, on_round=shared.append, memos=memos)
                 assert got == want
                 assert shared == alone
-            # The solves share states, so the table holds fewer than all their rounds.
-            assert len(table) < seeds * instance.l
+                calls += got.evals
+            # The solves share sets, so the memos hold fewer than all their calls.
+            assert sum(len(memo) for memo in memos) < calls
 
 
 class TestCsv:

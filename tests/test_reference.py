@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from twostage import reference
 from twostage.exceptions import GuardExceededError, ValidationError
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular
 from twostage.instances import GENERATOR_KINDS, Instance, generate_instance
@@ -193,6 +194,22 @@ class TestTabulatedBruteForce:
     def test_adversarial_weights(self):
         for instance in _adversarial_instances():
             self._check(instance)
+
+    def test_tables_past_the_limit_give_way_to_exact_evaluation(self, monkeypatch):
+        instance = generate_instance("mixed", 6, 2, 2, 3, seed=4)
+        want = brute_force_optimum(instance)
+        entries = instance.m * exact_eval_cost(instance.n, 2)
+
+        def no_tables(instance):
+            raise AssertionError("tabulated past the limit")
+
+        monkeypatch.setattr(reference, "_tabulated_F", no_tables)
+        monkeypatch.setattr(reference, "_TABLE_LIMIT", entries - 1)
+        got = brute_force_optimum(instance)
+        assert got == want and got.value.hex() == want.value.hex()
+        monkeypatch.setattr(reference, "_TABLE_LIMIT", entries)
+        with pytest.raises(AssertionError, match="tabulated past the limit"):
+            brute_force_optimum(instance)
 
 
 class TestReplacementGreedy:
