@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Collection, Iterable
+from typing import Callable, Collection, Iterable
 
 from .exceptions import ValidationError
 
@@ -71,6 +71,11 @@ def _is_list(x: object, of: tuple[type, ...] | None = None) -> bool:
     return isinstance(x, (list, tuple)) and (of is None or all(isinstance(e, of) for e in x))
 
 
+# move(x, None) is f(base + x), move(x, y) is f(base + x - y), for an id x
+# outside base and a member y: see each descriptor's move_kernel.
+MoveKernel = Callable[[int, int | None], float]
+
+
 @dataclass(frozen=True)
 class Coverage:
     """Weighted coverage: value of A is the total weight of universe
@@ -118,14 +123,37 @@ class Coverage:
 
     def value(self, items: Collection[int]) -> float:
         n = len(self.covers)
-        covered: set[int] = set()
         # Ids from n on are skipped: perfbench --smoke values a set carrying id n.
+        return self._total(self._covered([x for x in items if x < n]))
+
+    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
+        """Values of base + x and base + x - y from the elements base covers
+        and, per y, those still covered without y."""
+        covers = self.covers
+        covered = self._covered(base)
+        kept: dict[int, set[int]] = {}
+
+        def move(x: int, y: int | None) -> float:
+            if y is None:
+                c = covered
+            else:
+                c = kept.get(y)
+                if c is None:
+                    c = kept[y] = self._covered(base - {y})
+            return self._total(c | covers[x])
+
+        return move
+
+    def _covered(self, items: Iterable[int]) -> set[int]:
+        covered: set[int] = set()
         for x in items:
-            if x < n:
-                covered |= self.covers[x]
-        weights = self.universe_weights
+            covered |= self.covers[x]
+        return covered
+
+    def _total(self, covered: Iterable[int]) -> float:
         # fsum is correctly rounded, so the value cannot depend on the order
         # in which the set happens to iterate.
+        weights = self.universe_weights
         return math.fsum(weights[u] for u in covered)
 
 
@@ -178,15 +206,46 @@ class FacilityLocation:
             return 0.0
         n = len(rows[0])
         # Ids from n on are skipped: perfbench --smoke values a set carrying id n.
-        selected = [x for x in items if x < n]
-        if not selected:
-            return 0.0
+        return sum(self._maxima([x for x in items if x < n]), 0.0)
+
+    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
+        """Values of base + x and base + x - y from the per-client maxima over
+        base and, per y, over base - y.
+
+        A move compares x's similarity with one such maximum per client; x's
+        column is kept for the next move, which usually has the same x.  Each
+        client's maximum is the one value() takes over the moved set, up to
+        the sign of a zero, which the sum from 0.0 erases, so the same floats
+        are summed in the same client order.
+        """
+        rows = self.similarity
+        best = self._maxima(base)
+        without: dict[int, tuple[float, ...]] = {}
+        column: tuple[int, tuple[float, ...]] = (-1, ())
+
+        def move(x: int, y: int | None) -> float:
+            nonlocal column
+            if y is None:
+                b = best
+            else:
+                b = without.get(y)
+                if b is None:
+                    b = without[y] = self._maxima(base - {y})
+            if column[0] != x:
+                column = (x, tuple(map(itemgetter(x), rows)))
+            return sum([s if s > m else m for m, s in zip(b, column[1])], 0.0)
+
+        return move
+
+    def _maxima(self, items: Collection[int]) -> tuple[float, ...]:
+        """Each client's best similarity over items, 0.0 over no items."""
+        rows = self.similarity
+        if not items:
+            return (0.0,) * len(rows)
         # itemgetter of one id returns that client's similarity, of several a tuple.
-        if len(selected) == 1:
-            best = map(itemgetter(selected[0]), rows)
-        else:
-            best = map(max, map(itemgetter(*selected), rows))
-        return sum(best, 0.0)
+        if len(items) == 1:
+            return tuple(map(itemgetter(*items), rows))
+        return tuple(map(max, map(itemgetter(*items), rows)))
 
 
 @dataclass(frozen=True)
@@ -236,14 +295,40 @@ class GraphCut:
                 )
 
     def value(self, items: Collection[int]) -> float:
+        # Ids from n on are never endpoints (perfbench --smoke values a set
+        # carrying id n).
+        return self._total(self._cut(set(items)))
+
+    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
+        """Values of base + x and base + x - y from the cut edges of base and,
+        per y, of base - y: a move toggles only x's incident edges, then sorts
+        and sums the cut as value() does."""
+        incident = self._incident
+        cut = self._cut(base)
+        without: dict[int, set[int]] = {}
+
+        def move(x: int, y: int | None) -> float:
+            if y is None:
+                c = cut
+            else:
+                c = without.get(y)
+                if c is None:
+                    c = without[y] = cut.symmetric_difference(incident.get(y, ()))
+            return self._total(c.symmetric_difference(incident.get(x, ())))
+
+        return move
+
+    def _cut(self, items: set[int] | frozenset[int]) -> set[int]:
         incident = self._incident
         cut: set[int] = set()
-        # Toggling each member's edges leaves those with one end in A: an edge
-        # toggled twice has both.  Ids from n on are never endpoints
-        # (perfbench --smoke values a set carrying id n).
-        for x in set(items):
+        # Toggling each member's edges leaves those with one end in the set:
+        # an edge toggled twice has both.
+        for x in items:
             if x in incident:
                 cut.symmetric_difference_update(incident[x])
+        return cut
+
+    def _total(self, cut: set[int]) -> float:
         return sum(map(self._weights.__getitem__, sorted(cut)), 0.0)
 
 
@@ -275,8 +360,18 @@ class Modular:
 
     def value(self, items: Collection[int]) -> float:
         n = len(self.values)
-        # Ids from n on are skipped: perfbench --smoke values a set carrying id n.
-        return math.fsum(self.values[x] for x in items if x < n)
+        # A repeated id counts once.  Ids from n on are skipped: perfbench
+        # --smoke values a set carrying id n.
+        return math.fsum(self.values[x] for x in set(items) if x < n)
+
+    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
+        """Values of base + x and base + x - y: an fsum of the moved set."""
+        values = self.values
+
+        def move(x: int, y: int | None) -> float:
+            return math.fsum([values[x], *(values[i] for i in base if i != y)])
+
+        return move
 
 
 FunctionDescriptor = Coverage | FacilityLocation | GraphCut | Modular
@@ -297,16 +392,22 @@ class Oracle:
     Wraps a descriptor with its ground-set size, validates item ids, and
     counts every evaluation.  An oracle belongs to one solve or one report:
     ``Instance.oracles()`` builds fresh ones each time, and none is shared.
+    Every descriptor values a set: a repeated id counts once, and the value
+    does not depend on the order in which the set iterates.
 
     ``memo`` (optional) maps item sets to values.  Oracles given the same
     memo answer a set valued before from it, so the solves of one experiment
     run do not recompute the sets they share.  Every call still counts, and
-    the value is the same float: each descriptor values a set independently
-    of the order in which it iterates.  An oracle with a memo treats its
-    argument as a set, duplicate ids included.
+    the value is the same float.
+
+    ``eval(items, near=base)`` values a set that is base plus one id x, or
+    base plus x minus one member y, with the descriptor's move kernel for
+    base: the same float as a whole-set value, at a fraction of its cost.
+    The oracle keeps the kernel of the last base it was given (a one-entry
+    cache), so a scoring pass against one feasible set builds it once.
     """
 
-    __slots__ = ("descriptor", "n", "_count", "_memo")
+    __slots__ = ("descriptor", "n", "_count", "_memo", "_near", "_move")
 
     def __init__(
         self,
@@ -320,13 +421,19 @@ class Oracle:
         self.n = n
         self._count = 0
         self._memo = memo
+        self._near: frozenset[int] | None = None
+        self._move: MoveKernel | None = None
 
     @property
     def eval_count(self) -> int:
         return self._count
 
-    def eval(self, items: Collection[int]) -> float:
-        """Value of the item set.  Counts as one oracle call."""
+    def eval(self, items: Collection[int], near: Collection[int] | None = None) -> float:
+        """Value of the item set.  Counts as one oracle call.
+
+        ``near``, when given, is a set that items is likely one move from (see
+        the class docstring); it changes the cost of the call, not its value.
+        """
         memo = self._memo
         if memo is not None:
             items = frozenset(items)
@@ -335,14 +442,42 @@ class Oracle:
                 # A memoised set was validated when it was first valued.
                 self._count += 1
                 return value
+        elif near is not None:
+            items = frozenset(items)
+        value = None if near is None else self._move_value(items, frozenset(near))
+        if value is None:
+            self._check_ids(items)
+            value = self.descriptor.value(items)
+        self._count += 1
+        if memo is not None and len(memo) < _MEMO_LIMIT:
+            memo[items] = value
+        return value
+
+    def _move_value(self, items: frozenset[int], near: frozenset[int]) -> float | None:
+        """f(items) by near's move kernel, or None when items is not one move
+        from near."""
+        added = items - near
+        if len(added) != 1:
+            return None
+        grown = len(items) - len(near)
+        if grown == 1:
+            y = None
+        elif grown == 0:
+            (y,) = near - items
+        else:
+            return None
+        self._check_ids(added)
+        if near is not self._near and near != self._near:
+            self._check_ids(near)
+            self._move = self.descriptor.move_kernel(near)
+            self._near = near
+        (x,) = added
+        return self._move(x, y)
+
+    def _check_ids(self, items: Iterable[int]) -> None:
         n = self.n
         for x in items:
             if not 0 <= x < n:
                 raise ValidationError(
                     f"item {_int_text(x)} out of range, ground set has {_int_text(n)} items"
                 )
-        self._count += 1
-        value = self.descriptor.value(items)
-        if memo is not None and len(memo) < _MEMO_LIMIT:
-            memo[items] = value
-        return value

@@ -48,7 +48,9 @@ def local_gain(
     Swaps are evaluated in ascending victim id, then the add; victim ties
     resolve to the smallest id, and an add must strictly beat the best swap.
     ``base`` may supply a cached f(A) to save one evaluation; semantics are
-    unchanged.
+    unchanged.  Each move is valued with A as ``near``, so the oracle prices
+    it with the move kernel it keeps for A (see Oracle); every move is still
+    one counted call.
     """
     current = frozenset(A)
     if len(current) > k:
@@ -62,13 +64,15 @@ def local_gain(
     # in ascending order wins a swap tie and an add must beat every swap.
     gain, after = 0.0, current
     with_x = current | {x}
+    # near goes by position: within an experiment run most moves are memo
+    # hits, and a keyword argument adds about a fifth to the cost of each.
     for y in sorted(current):
         candidate = with_x - {y}
-        g = f.eval(candidate) - base
+        g = f.eval(candidate, current) - base
         if g > gain:
             gain, after = g, candidate
     if len(current) < k:
-        g = f.eval(with_x) - base
+        g = f.eval(with_x, current) - base
         if g > gain:
             gain, after = g, with_x
     return GainAction(gain, after)

@@ -362,6 +362,144 @@ class TestBitExactValues:
         )
 
 
+def _adversarial_descriptors(rng: random.Random, n: int):
+    """One descriptor of each kind with weights drawn from ADVERSARIAL_WEIGHTS."""
+    pick = lambda: rng.choice(ADVERSARIAL_WEIGHTS)
+    yield Coverage(
+        tuple(pick() for _ in range(2 * n)),
+        tuple(frozenset(u for u in range(2 * n) if rng.random() < 0.4) for _ in range(n)),
+    )
+    yield FacilityLocation(tuple(tuple(pick() for _ in range(n)) for _ in range(4)))
+    yield GraphCut(tuple(
+        (u, v, pick()) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.6
+    ))
+    yield Modular(tuple(pick() for _ in range(n)))
+
+
+def _kernel_cases():
+    """(n, descriptor) pairs: generated, adversarial and degenerate inputs of
+    every kind, all on n <= 7."""
+    for n in (5, 7):
+        for kind in ("coverage", "facility_location", "graph_cut"):
+            yield n, generate_instance(kind, n, 1, 1, 1, seed=n).functions[0]
+        yield n, helpers.random_modular(random.Random(n), n)
+    rng = random.Random(12)
+    for n in (4, 6, 7):
+        for descriptor in _adversarial_descriptors(rng, n):
+            yield n, descriptor
+    yield 6, ADVERSARIAL_CUT
+    # Zeros, exact ties and signed zeros: a client's maximum may be any of
+    # several equal similarities, and 0.0 and -0.0 compare equal.
+    yield 5, FacilityLocation(((0.0,) * 5, (0.5,) * 5, (-0.0, 0.0, -0.0, 0.25, 0.25)))
+    yield 5, FacilityLocation(((-0.0,) * 5, (0.3, 0.1, 0.3, 0.1, 0.3)))
+    yield 5, Coverage((0.0, 0.5, 0.5, -0.0), tuple(frozenset({i % 4, 3}) for i in range(5)))
+    yield 5, Coverage((1.0, 2.0), (frozenset(),) * 5)
+    yield 5, GraphCut(((0, 1, 0.0), (1, 2, -0.0), (2, 3, 0.5), (3, 4, 0.5), (0, 4, 0.5)))
+    yield 5, Modular((0.0, -0.0, 0.5, 0.5, 0.1))
+    yield 5, FacilityLocation(())
+    yield 5, GraphCut(())
+
+
+def _moves(T: frozenset[int], x: int) -> list[frozenset[int]]:
+    """T + x, then T + x - y for every member y."""
+    with_x = T | {x}
+    return [with_x] + [with_x - {y} for y in sorted(T)]
+
+
+class TestMoveKernels:
+    """eval(move, near=T) must return the very float descriptor.value gives
+    the moved set, for every add and swap from every base, at one call each."""
+
+    @pytest.mark.parametrize(
+        ("n", "descriptor"), list(_kernel_cases()),
+        ids=lambda v: v.kind if hasattr(v, "kind") else f"n{v}",
+    )
+    def test_every_move_from_every_base(self, n, descriptor):
+        oracle = Oracle(descriptor, n)
+        for T in _all_subsets(n):
+            for x in sorted(set(range(n)) - T):
+                for move in _moves(T, x):
+                    before = oracle.eval_count
+                    _assert_same_float(oracle.eval(move, near=T), descriptor.value(move))
+                    assert oracle.eval_count == before + 1
+
+    def test_bases_can_alternate(self):
+        # The one-entry cache must rebuild for a new base, and compare bases
+        # by their items, not by identity.
+        descriptor = FacilityLocation(((0.5, 0.1, 0.7, 0.2), (0.25, 0.75, 0.0, 1.0)))
+        oracle = Oracle(descriptor, 4)
+        bases = [frozenset({0}), frozenset({1, 2}), frozenset({0}), frozenset()]
+        for T in bases * 2:
+            for x in sorted(set(range(4)) - T):
+                for move in _moves(T, x):
+                    near = set(T) if len(T) % 2 else T
+                    _assert_same_float(oracle.eval(move, near=near), descriptor.value(move))
+
+    @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
+    def test_sets_that_are_not_moves_get_whole_values(self, kind):
+        n = 6
+        descriptor = helpers.random_descriptor(random.Random(31), kind, n)
+        oracle = Oracle(descriptor, n)
+        T = frozenset({0, 2, 4})
+        others = [T, T - {2}, T | {1, 3}, T - {0, 2} | {5}, frozenset(), frozenset({1, 3, 5})]
+        for count, items in enumerate(others, 1):
+            _assert_same_float(oracle.eval(items, near=T), descriptor.value(items))
+            assert oracle.eval_count == count
+
+    def test_memo_answers_first(self):
+        for n, descriptor in _kernel_cases():
+            memo = {}
+            warm, oracle = Oracle(descriptor, n, memo), Oracle(descriptor, n, memo)
+            T = frozenset(range(0, n, 2))
+            moves = [m for x in range(1, n, 2) for m in _moves(T, x)]
+            for move in moves[::2]:
+                warm.eval(move)
+            # Half the moves are memo hits, half go to the kernel and fill the memo.
+            for move in moves:
+                _assert_same_float(oracle.eval(move, near=T), descriptor.value(move))
+            assert oracle.eval_count == len(moves)
+            assert set(memo) == set(moves)
+            for move in moves:
+                _assert_same_float(memo[move], descriptor.value(move))
+
+    @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
+    def test_ids_outside_the_ground_set_are_rejected(self, kind):
+        n = 4
+        descriptor = helpers.random_descriptor(random.Random(5), kind, n)
+        oracle = Oracle(descriptor, n, {})
+        cases = [
+            ({0, -1}, {-1}),  # a negative id in near, not a Python index from the end
+            ({0, 4}, {4}),  # id n in near
+            ({1, 2, 7}, {1, 7}),  # a swap whose base holds an id past n
+            ({0, 4}, {0}),  # the added id is n
+            ({0, -2}, {0}),  # the added id is negative
+        ]
+        for items, near in cases:
+            with pytest.raises(ValidationError, match="out of range, ground set has 4 items"):
+                oracle.eval(items, near=near)
+        assert oracle.eval_count == 0
+        # A rejected base leaves no kernel behind.
+        _assert_same_float(oracle.eval({0, 1}, near={0}), descriptor.value({0, 1}))
+
+
+class TestDuplicateIds:
+    """A list with a repeated id is valued as its set, by every kind."""
+
+    @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
+    def test_list_is_valued_as_its_set(self, kind):
+        n = 5
+        descriptor = helpers.random_descriptor(random.Random(9), kind, n)
+        for items in ([0, 0], [1, 3, 1, 1], [4, 2, 4, 0, 2]):
+            want = descriptor.value(frozenset(items))
+            _assert_same_float(descriptor.value(items), want)
+            _assert_same_float(Oracle(descriptor, n).eval(items), want)
+            _assert_same_float(Oracle(descriptor, n, {}).eval(items), want)
+
+    def test_modular_counts_a_repeated_id_once(self):
+        assert Oracle(Modular((1.0, 2.0)), 2).eval([0, 0]) == 1.0
+        assert Oracle(Modular((1.0, 2.0)), 2, {}).eval([0, 0]) == 1.0
+
+
 class TestMarginal:
     def test_path_cut_marginal_can_be_negative(self):
         oracle = Oracle(helpers.path_cut(), n=3)
