@@ -72,12 +72,65 @@ def _is_list(x: object, of: tuple[type, ...] | None = None) -> bool:
 
 
 # move(x, None) is f(base + x), move(x, y) is f(base + x - y), for an id x
-# outside base and a member y: see each descriptor's move_kernel.
+# outside base and a member y: see _AtomSum.move_kernel and
+# FacilityLocation.move_kernel.
 MoveKernel = Callable[[int, int | None], float]
 
 
+class _AtomSum:
+    """The value of coverage, graph cut and modular: a weighted sum over a set
+    of atoms.  The atoms are the universe elements a set covers, the edges it
+    cuts, or its own items.
+
+    A kind gives item x's atoms (``_atoms_of(x)``, none for an id outside
+    0 .. n-1) and their weights (``_weights``).  A set's atoms join those of
+    its members: a union, or for graph cut (``_toggle``) a symmetric
+    difference, which keeps the edges with exactly one end in the set.  The
+    value is the ``math.fsum`` of their weights.  fsum is correctly rounded,
+    so a value depends neither on the order in which a set iterates nor on
+    how its atoms were gathered.
+    """
+
+    _toggle = False
+    _weights: tuple[float, ...]
+
+    def value(self, items: Collection[int]) -> float:
+        return self._sum(self._atoms(items))
+
+    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
+        """Values of base + x and base + x - y from the atoms of base and,
+        built once per y, of base - y, each joined with x's atoms."""
+        join = set.symmetric_difference if self._toggle else set.union
+        atoms_of, total = self._atoms_of, self._sum
+        atoms = self._atoms(base)
+        without: dict[int, set[int]] = {}
+
+        def move(x: int, y: int | None) -> float:
+            if y is None:
+                a = atoms
+            else:
+                a = without.get(y)
+                if a is None:
+                    a = without[y] = self._atoms(base - {y})
+            return total(join(a, atoms_of(x)))
+
+        return move
+
+    def _atoms(self, items: Iterable[int]) -> set[int]:
+        atoms: set[int] = set()
+        join = atoms.symmetric_difference_update if self._toggle else atoms.update
+        # A repeated id joins once: a second toggle would undo the first.
+        for x in frozenset(items):
+            join(self._atoms_of(x))
+        return atoms
+
+    def _sum(self, atoms: Iterable[int]) -> float:
+        weights = self._weights
+        return math.fsum([weights[u] for u in atoms])
+
+
 @dataclass(frozen=True)
-class Coverage:
+class Coverage(_AtomSum):
     """Weighted coverage: value of A is the total weight of universe
     elements covered by at least one item in A.
 
@@ -114,6 +167,7 @@ class Coverage:
             normalized.append(frozenset(cover))
         object.__setattr__(self, "universe_weights", weights)
         object.__setattr__(self, "covers", tuple(normalized))
+        object.__setattr__(self, "_weights", weights)
 
     def validate_for(self, n: int) -> None:
         if len(self.covers) != n:
@@ -121,40 +175,12 @@ class Coverage:
                 f"coverage covers has {len(self.covers)} entries, expected n={_int_text(n)}"
             )
 
-    def value(self, items: Collection[int]) -> float:
-        n = len(self.covers)
-        # Ids from n on are skipped: perfbench --smoke values a set carrying id n.
-        return self._total(self._covered([x for x in items if x < n]))
+    # perfbench's tracer wraps cls.__dict__["value"] of each kind it times.
+    value = _AtomSum.value
 
-    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
-        """Values of base + x and base + x - y from the elements base covers
-        and, per y, those still covered without y."""
+    def _atoms_of(self, x: int) -> Iterable[int]:
         covers = self.covers
-        covered = self._covered(base)
-        kept: dict[int, set[int]] = {}
-
-        def move(x: int, y: int | None) -> float:
-            if y is None:
-                c = covered
-            else:
-                c = kept.get(y)
-                if c is None:
-                    c = kept[y] = self._covered(base - {y})
-            return self._total(c | covers[x])
-
-        return move
-
-    def _covered(self, items: Iterable[int]) -> set[int]:
-        covered: set[int] = set()
-        for x in items:
-            covered |= self.covers[x]
-        return covered
-
-    def _total(self, covered: Iterable[int]) -> float:
-        # fsum is correctly rounded, so the value cannot depend on the order
-        # in which the set happens to iterate.
-        weights = self.universe_weights
-        return math.fsum(weights[u] for u in covered)
+        return covers[x] if 0 <= x < len(covers) else ()
 
 
 @dataclass(frozen=True)
@@ -205,8 +231,9 @@ class FacilityLocation:
         if not rows:
             return 0.0
         n = len(rows[0])
-        # Ids from n on are skipped: perfbench --smoke values a set carrying id n.
-        return sum(self._maxima([x for x in items if x < n]), 0.0)
+        # Ids outside 0 .. n-1 add nothing: perfbench --smoke values a set
+        # carrying id n.
+        return sum(self._maxima([x for x in items if 0 <= x < n]), 0.0)
 
     def move_kernel(self, base: frozenset[int]) -> MoveKernel:
         """Values of base + x and base + x - y from the per-client maxima over
@@ -249,20 +276,20 @@ class FacilityLocation:
 
 
 @dataclass(frozen=True)
-class GraphCut:
+class GraphCut(_AtomSum):
     """Weighted graph cut: value of A is the total weight of edges with
     exactly one endpoint in A.  Non-monotone, the canonical stress case.
     Edges are (u, v, weight) triples over real item ids.
 
-    Each vertex keeps the ascending indices of its incident edges, so a value
-    costs the degree sum of A plus a sort of the cut edges, not |E|.  The cut
-    weights are summed with the builtin ``sum`` in edge order.
+    Each vertex keeps the indices of its incident edges, its atoms, so a value
+    costs the degree sum of A plus an fsum over the cut, not |E|.
     """
 
     edges: tuple[tuple[int, int, float], ...]
 
     kind = "graph_cut"
     monotone = False
+    _toggle = True
 
     def __post_init__(self) -> None:
         if not _is_list(self.edges):
@@ -294,46 +321,15 @@ class GraphCut:
                     f"out of range for n={_int_text(n)}"
                 )
 
-    def value(self, items: Collection[int]) -> float:
-        # Ids from n on are never endpoints (perfbench --smoke values a set
-        # carrying id n).
-        return self._total(self._cut(set(items)))
+    value = _AtomSum.value  # in the class dict, as for Coverage
 
-    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
-        """Values of base + x and base + x - y from the cut edges of base and,
-        per y, of base - y: a move toggles only x's incident edges, then sorts
-        and sums the cut as value() does."""
-        incident = self._incident
-        cut = self._cut(base)
-        without: dict[int, set[int]] = {}
-
-        def move(x: int, y: int | None) -> float:
-            if y is None:
-                c = cut
-            else:
-                c = without.get(y)
-                if c is None:
-                    c = without[y] = cut.symmetric_difference(incident.get(y, ()))
-            return self._total(c.symmetric_difference(incident.get(x, ())))
-
-        return move
-
-    def _cut(self, items: set[int] | frozenset[int]) -> set[int]:
-        incident = self._incident
-        cut: set[int] = set()
-        # Toggling each member's edges leaves those with one end in the set:
-        # an edge toggled twice has both.
-        for x in items:
-            if x in incident:
-                cut.symmetric_difference_update(incident[x])
-        return cut
-
-    def _total(self, cut: set[int]) -> float:
-        return sum(map(self._weights.__getitem__, sorted(cut)), 0.0)
+    def _atoms_of(self, x: int) -> Iterable[int]:
+        # Ids outside 0 .. n-1 are never endpoints.
+        return self._incident.get(x, ())
 
 
 @dataclass(frozen=True)
-class Modular:
+class Modular(_AtomSum):
     """Additive function: value of A is the sum of per-item values.
     Trivially submodular and monotone, useful as a sanity anchor.
     """
@@ -351,6 +347,7 @@ class Modular:
         )
         _check_total("values", checked)
         object.__setattr__(self, "values", checked)
+        object.__setattr__(self, "_weights", checked)
 
     def validate_for(self, n: int) -> None:
         if len(self.values) != n:
@@ -358,20 +355,8 @@ class Modular:
                 f"modular values has {len(self.values)} entries, expected n={_int_text(n)}"
             )
 
-    def value(self, items: Collection[int]) -> float:
-        n = len(self.values)
-        # A repeated id counts once.  Ids from n on are skipped: perfbench
-        # --smoke values a set carrying id n.
-        return math.fsum(self.values[x] for x in set(items) if x < n)
-
-    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
-        """Values of base + x and base + x - y: an fsum of the moved set."""
-        values = self.values
-
-        def move(x: int, y: int | None) -> float:
-            return math.fsum([values[x], *(values[i] for i in base if i != y)])
-
-        return move
+    def _atoms_of(self, x: int) -> Iterable[int]:
+        return (x,) if 0 <= x < len(self.values) else ()
 
 
 FunctionDescriptor = Coverage | FacilityLocation | GraphCut | Modular
@@ -393,7 +378,9 @@ class Oracle:
     counts every evaluation.  An oracle belongs to one solve or one report:
     ``Instance.oracles()`` builds fresh ones each time, and none is shared.
     Every descriptor values a set: a repeated id counts once, and the value
-    does not depend on the order in which the set iterates.
+    does not depend on the order in which the set iterates.  An id outside
+    ``0 .. n-1`` adds nothing to a descriptor's value, but the oracle rejects
+    it.
 
     ``memo`` (optional) maps item sets to values.  Oracles given the same
     memo answer a set valued before from it, so the solves of one experiment
@@ -403,8 +390,10 @@ class Oracle:
     ``eval(items, near=base)`` values a set that is base plus one id x, or
     base plus x minus one member y, with the descriptor's move kernel for
     base: the same float as a whole-set value, at a fraction of its cost.
-    The oracle keeps the kernel of the last base it was given (a one-entry
-    cache), so a scoring pass against one feasible set builds it once.
+    Coverage, graph cut and modular share one kernel (see ``_AtomSum``);
+    facility location has its own.  The oracle keeps the kernel of the last
+    base it was given (a one-entry cache), so a scoring pass against one
+    feasible set builds it once.
     """
 
     __slots__ = ("descriptor", "n", "_count", "_memo", "_near", "_move")

@@ -61,7 +61,9 @@ def trim(f: Oracle, B: Iterable[int]) -> frozenset[int]:
 
     The result A satisfies f(A) >= f(B) and f(A) - f(A - {x}) >= 0 for every
     remaining x; one pass suffices because removals only raise the remaining
-    removal marginals under submodularity.
+    removal marginals under submodularity.  The second holds for exact
+    values: a marginal that rounds to 0 when it is tested can round below 0
+    after a later removal (a graph cut under adversarial weights).
     """
     kept = set(B)
     current = f.eval(kept)

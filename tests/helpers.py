@@ -8,6 +8,7 @@ evidence rather than tautology.
 from __future__ import annotations
 
 import io
+import math
 import random
 
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular
@@ -28,8 +29,8 @@ def path_cut() -> GraphCut:
 # + 1.0 is lost), 1e16, exact ties, and ordinary fractions.
 ADVERSARIAL_WEIGHTS = (0.0, 5e-324, 2.0**53, 1e16, 0.1, 0.2, 0.3, 1.0)
 
-# A 6-item cut on which the left-to-right sum makes trim(range(6)) keep items
-# 1 and 2 with a removal marginal of -2.0; the values must still match.
+# A 6-item cut on which a left-to-right sum of the cut weights made
+# trim(range(6)) keep items 1 and 2 with a removal marginal of -2.0.
 ADVERSARIAL_CUT = GraphCut(
     (
         (0, 1, 0.3), (0, 2, 0.2), (0, 3, 2.0**53), (0, 4, 5e-324), (0, 5, 5e-324),
@@ -39,14 +40,15 @@ ADVERSARIAL_CUT = GraphCut(
 
 
 # ---------------------------------------------------------------------------
-# Independent reference value functions.
+# Independent reference value functions.  Ids outside 0 .. n-1 add nothing.
+# Coverage, graph cut and modular are correctly rounded (math.fsum); facility
+# location adds each client's best similarity left to right.
 
 def ref_coverage_value(weights, covers, items) -> float:
-    total = 0.0
-    for u, w in enumerate(weights):
-        if any(u in covers[x] for x in items if x < len(covers)):
-            total += w
-    return total
+    members = [x for x in items if 0 <= x < len(covers)]
+    return math.fsum(
+        w for u, w in enumerate(weights) if any(u in covers[x] for x in members)
+    )
 
 
 def ref_facility_value(similarity, items) -> float:
@@ -54,23 +56,18 @@ def ref_facility_value(similarity, items) -> float:
     for row in similarity:
         best = 0.0
         for x in items:
-            if x < len(row) and row[x] > best:
+            if 0 <= x < len(row) and row[x] > best:
                 best = row[x]
         total += best
     return total
 
 
 def ref_cut_value(edges, items) -> float:
-    total = 0.0
-    for u, v, w in edges:
-        inside = (u in items) + (v in items)
-        if inside == 1:
-            total += w
-    return total
+    return math.fsum(w for u, v, w in edges if (u in items) + (v in items) == 1)
 
 
 def ref_modular_value(values, items) -> float:
-    return sum(values[x] for x in items if x < len(values))
+    return math.fsum(values[x] for x in set(items) if 0 <= x < len(values))
 
 
 # ---------------------------------------------------------------------------

@@ -283,21 +283,27 @@ def _all_subsets(n: int) -> list[frozenset[int]]:
 
 
 class TestBitExactValues:
-    """Facility location and graph cut must return the very floats of the
-    left-to-right references in helpers.py, not just close ones: digests,
-    trim decisions and CSV bytes rest on those bits."""
+    """Every kind must return the very floats of the references in helpers.py,
+    not just close ones: an fsum for coverage, graph cut and modular, a
+    left-to-right sum over clients for facility location.  Digests, trim
+    decisions and CSV bytes rest on those bits."""
 
     @staticmethod
     def _check(descriptor, sets) -> None:
-        if isinstance(descriptor, FacilityLocation):
+        if isinstance(descriptor, Coverage):
+            ref = lambda A: helpers.ref_coverage_value(
+                descriptor.universe_weights, descriptor.covers, A)
+        elif isinstance(descriptor, FacilityLocation):
             ref = lambda A: helpers.ref_facility_value(descriptor.similarity, A)
-        else:
+        elif isinstance(descriptor, GraphCut):
             ref = lambda A: helpers.ref_cut_value(descriptor.edges, A)
+        else:
+            ref = lambda A: helpers.ref_modular_value(descriptor.values, A)
         for A in sets:
             _assert_same_float(descriptor.value(A), ref(A))
 
     @pytest.mark.parametrize("n", [5, 8, 100])
-    @pytest.mark.parametrize("kind", ["facility_location", "graph_cut"])
+    @pytest.mark.parametrize("kind", ["facility_location", "graph_cut", "coverage"])
     def test_generated_instances(self, kind, n):
         rng = random.Random(n)
         (descriptor,) = generate_instance(kind, n, 1, 1, 1, seed=n).functions
@@ -323,6 +329,12 @@ class TestBitExactValues:
             self._check(FacilityLocation(similarity), _all_subsets(n))
             self._check(GraphCut(edges), _all_subsets(n))
 
+    def test_adversarial_descriptors_every_subset(self):
+        rng = random.Random(8)
+        for n in (4, 6):
+            for descriptor in _adversarial_descriptors(rng, n):
+                self._check(descriptor, _all_subsets(n))
+
     @pytest.mark.parametrize(
         "descriptor",
         [
@@ -332,8 +344,13 @@ class TestBitExactValues:
             GraphCut(((0, 1, 0.3), (1, 3, 0.7), (0, 3, 5e-324))),
             GraphCut(()),
             FacilityLocation(()),
+            Coverage(
+                (0.1, 2.0**53, 0.2, 1.0), (frozenset({0, 1}), frozenset({1, 2}), frozenset({3}))
+            ),
+            Modular((0.1, 0.2, 0.3)),
         ],
-        ids=["facility", "cut", "isolated-vertex", "edgeless-cut", "no-clients"],
+        ids=["facility", "cut", "isolated-vertex", "edgeless-cut", "no-clients", "coverage",
+             "modular"],
     )
     def test_edge_case_inputs(self, descriptor):
         sets = [
@@ -346,6 +363,9 @@ class TestBitExactValues:
             frozenset({9}),
             {0, 1, 100},
             [5, 0, 5, 3],
+            # A negative id adds nothing, like an id past the last item: it
+            # is not a Python index from the end.
+            [-1, 0, -2],
         ]
         self._check(descriptor, sets)
 

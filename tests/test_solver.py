@@ -9,7 +9,7 @@ import statistics
 import pytest
 
 from twostage.exceptions import ValidationError
-from twostage.functions import Modular, Oracle
+from twostage.functions import GraphCut, Modular, Oracle
 from twostage.harness import RunConfig, run_experiment
 from twostage.instances import GENERATOR_KINDS, Instance, generate_instance
 from twostage.solver import (
@@ -64,16 +64,24 @@ class TestTrim:
             if descriptor.monotone:
                 assert A == B
 
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 4: graph-cut values summed left to right make trim keep "
-        "items 1 and 2 of ADVERSARIAL_CUT with removal marginal -2.0; exact "
-        "accumulation must turn this into a plain pass",
-    )
     def test_adversarial_cut_keeps_no_harmful_member(self):
         oracle = Oracle(ADVERSARIAL_CUT, 6)
         kept = trim(oracle, range(6))
+        value = oracle.eval(kept)
+        harmful = [x for x in sorted(kept) if value - oracle.eval(kept - {x}) < 0]
+        assert harmful == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 7: trim tests {0, 2, 3} in one ascending pass of correctly "
+        "rounded values; it keeps 0, whose removal marginal -5e-324 rounds to 0, then "
+        "drops 2, after which that marginal rounds to -2.0. Trim decisions on exact "
+        "values (item 4) must turn this into a plain pass",
+    )
+    def test_star_cut_keeps_no_harmful_member(self):
+        # Vertex 3 joins 0, 1 and 2 with weights 5e-324, 1.0 and 2**53.
+        oracle = Oracle(GraphCut(((0, 3, 5e-324), (1, 3, 1.0), (2, 3, 2.0**53))), 4)
+        kept = trim(oracle, {0, 2, 3})
         value = oracle.eval(kept)
         harmful = [x for x in sorted(kept) if value - oracle.eval(kept - {x}) < 0]
         assert harmful == []
