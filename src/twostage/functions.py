@@ -57,30 +57,63 @@ def _check_weight(label: str, w: object) -> float:
     return w
 
 
-def _check_total(label: str, weights: Iterable[float]) -> None:
-    # No value exceeds the sum of these weights, and fsum raises rather than
-    # return inf, so a finite total keeps every value() call finite.
-    try:
-        math.fsum(weights)
-    except OverflowError:
-        raise ValidationError(f"{label} total is not finite") from None
-
-
 def _is_list(x: object, of: tuple[type, ...] | None = None) -> bool:
     # A JSON array arrives as a list, a constructor argument usually as a tuple.
     return isinstance(x, (list, tuple)) and (of is None or all(isinstance(e, of) for e in x))
 
 
 # move(x, None) is f(base + x), move(x, y) is f(base + x - y), for an id x
-# outside base and a member y: see _AtomSum.move_kernel and
-# FacilityLocation.move_kernel.
+# outside base and a member y: see _Summed.move_kernel.
 MoveKernel = Callable[[int, int | None], float]
 
 
-class _AtomSum:
-    """The value of coverage, graph cut and modular: a weighted sum over a set
-    of atoms.  The atoms are the universe elements a set covers, the edges it
-    cuts, or its own items.
+class _Summed:
+    """The value of every kind: a set's state, summed.
+
+    A kind gives three hooks: ``_state(items)``, what a set contributes
+    (ids outside 0 .. n-1 contribute nothing); ``_join(state, x)``, the value
+    of that state with item x added; and ``_total(state)``, the value of a
+    state.  The same hooks value whole sets and moves, so both give the same
+    float.
+    """
+
+    def value(self, items: Collection[int]) -> float:
+        return self._total(self._state(items))
+
+    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
+        """Values of base + x and base + x - y from the state of base and,
+        built once per y, of base - y, each joined with x."""
+        state, join = self._state, self._join
+        at_base = state(base)
+        without: dict[int, object] = {}
+
+        def move(x: int, y: int | None) -> float:
+            if y is None:
+                s = at_base
+            else:
+                s = without.get(y)
+                if s is None:
+                    s = without[y] = state(base - {y})
+            return join(s, x)
+
+        return move
+
+    def _check_total(self, label: str, state: object) -> None:
+        # No value exceeds the total of this state, summed by the kind's own
+        # rule, so a finite total keeps every value() call finite.  fsum
+        # raises where the builtin sum returns inf.
+        try:
+            finite = math.isfinite(self._total(state))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"{label} total is not finite")
+
+
+class _AtomSum(_Summed):
+    """The state of coverage, graph cut and modular: a set of atoms.  The
+    atoms are the universe elements a set covers, the edges it cuts, or its
+    own items.
 
     A kind gives item x's atoms (``_atoms_of(x)``, none for an id outside
     0 .. n-1) and their weights (``_weights``).  A set's atoms join those of
@@ -94,29 +127,7 @@ class _AtomSum:
     _toggle = False
     _weights: tuple[float, ...]
 
-    def value(self, items: Collection[int]) -> float:
-        return self._sum(self._atoms(items))
-
-    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
-        """Values of base + x and base + x - y from the atoms of base and,
-        built once per y, of base - y, each joined with x's atoms."""
-        join = set.symmetric_difference if self._toggle else set.union
-        atoms_of, total = self._atoms_of, self._sum
-        atoms = self._atoms(base)
-        without: dict[int, set[int]] = {}
-
-        def move(x: int, y: int | None) -> float:
-            if y is None:
-                a = atoms
-            else:
-                a = without.get(y)
-                if a is None:
-                    a = without[y] = self._atoms(base - {y})
-            return total(join(a, atoms_of(x)))
-
-        return move
-
-    def _atoms(self, items: Iterable[int]) -> set[int]:
+    def _state(self, items: Iterable[int]) -> set[int]:
         atoms: set[int] = set()
         join = atoms.symmetric_difference_update if self._toggle else atoms.update
         # A repeated id joins once: a second toggle would undo the first.
@@ -124,7 +135,11 @@ class _AtomSum:
             join(self._atoms_of(x))
         return atoms
 
-    def _sum(self, atoms: Iterable[int]) -> float:
+    def _join(self, atoms: set[int], x: int) -> float:
+        join = atoms.symmetric_difference if self._toggle else atoms.union
+        return self._total(join(self._atoms_of(x)))
+
+    def _total(self, atoms: Iterable[int]) -> float:
         weights = self._weights
         return math.fsum([weights[u] for u in atoms])
 
@@ -153,8 +168,9 @@ class Coverage(_AtomSum):
             _check_weight(f"universe_weights[{i}]", w)
             for i, w in enumerate(self.universe_weights)
         )
-        _check_total("universe_weights", weights)
+        object.__setattr__(self, "_weights", weights)
         m = len(weights)
+        self._check_total("universe_weights", range(m))
         normalized = []
         for i, cover in enumerate(self.covers):
             # Checked before hashing: a nested JSON list is unhashable.
@@ -167,7 +183,6 @@ class Coverage(_AtomSum):
             normalized.append(frozenset(cover))
         object.__setattr__(self, "universe_weights", weights)
         object.__setattr__(self, "covers", tuple(normalized))
-        object.__setattr__(self, "_weights", weights)
 
     def validate_for(self, n: int) -> None:
         if len(self.covers) != n:
@@ -176,7 +191,7 @@ class Coverage(_AtomSum):
             )
 
     # perfbench's tracer wraps cls.__dict__["value"] of each kind it times.
-    value = _AtomSum.value
+    value = _Summed.value
 
     def _atoms_of(self, x: int) -> Iterable[int]:
         covers = self.covers
@@ -184,7 +199,7 @@ class Coverage(_AtomSum):
 
 
 @dataclass(frozen=True)
-class FacilityLocation:
+class FacilityLocation(_Summed):
     """Facility location: each client is served by its most similar selected
     item, value is the sum over clients.  ``similarity[c][x]`` is the affinity
     of client ``c`` for item ``x``; an empty selection serves nobody.
@@ -214,9 +229,9 @@ class FacilityLocation:
                     f"similarity row {c} has length {len(checked)}, expected {width}"
                 )
             rows.append(checked)
-        # A value sums at most each client's best similarity.
-        _check_total("similarity row maxima", (max(r, default=0.0) for r in rows))
         object.__setattr__(self, "similarity", tuple(rows))
+        # A value sums at most each client's best similarity.
+        self._check_total("similarity row maxima", [max(r, default=0.0) for r in rows])
 
     def validate_for(self, n: int) -> None:
         for c, row in enumerate(self.similarity):
@@ -226,53 +241,30 @@ class FacilityLocation:
                     f"expected n={_int_text(n)}"
                 )
 
-    def value(self, items: Collection[int]) -> float:
-        rows = self.similarity
-        if not rows:
-            return 0.0
-        n = len(rows[0])
-        # Ids outside 0 .. n-1 add nothing: perfbench --smoke values a set
-        # carrying id n.
-        return sum(self._maxima([x for x in items if 0 <= x < n]), 0.0)
+    value = _Summed.value  # in the class dict, as for Coverage
 
-    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
-        """Values of base + x and base + x - y from the per-client maxima over
-        base and, per y, over base - y.
-
-        A move compares x's similarity with one such maximum per client; x's
-        column is kept for the next move, which usually has the same x.  Each
-        client's maximum is the one value() takes over the moved set, up to
-        the sign of a zero, which the sum from 0.0 erases, so the same floats
-        are summed in the same client order.
-        """
-        rows = self.similarity
-        best = self._maxima(base)
-        without: dict[int, tuple[float, ...]] = {}
-        column: tuple[int, tuple[float, ...]] = (-1, ())
-
-        def move(x: int, y: int | None) -> float:
-            nonlocal column
-            if y is None:
-                b = best
-            else:
-                b = without.get(y)
-                if b is None:
-                    b = without[y] = self._maxima(base - {y})
-            if column[0] != x:
-                column = (x, tuple(map(itemgetter(x), rows)))
-            return sum([s if s > m else m for m, s in zip(b, column[1])], 0.0)
-
-        return move
-
-    def _maxima(self, items: Collection[int]) -> tuple[float, ...]:
+    def _state(self, items: Iterable[int]) -> tuple[float, ...]:
         """Each client's best similarity over items, 0.0 over no items."""
         rows = self.similarity
-        if not items:
+        n = len(rows[0]) if rows else 0
+        # Ids outside 0 .. n-1 add nothing: perfbench --smoke values a set
+        # carrying id n.
+        ids = [x for x in items if 0 <= x < n]
+        if not ids:
             return (0.0,) * len(rows)
         # itemgetter of one id returns that client's similarity, of several a tuple.
-        if len(items) == 1:
-            return tuple(map(itemgetter(*items), rows))
-        return tuple(map(max, map(itemgetter(*items), rows)))
+        if len(ids) == 1:
+            return tuple(map(itemgetter(*ids), rows))
+        return tuple(map(max, map(itemgetter(*ids), rows)))
+
+    def _join(self, best: tuple[float, ...], x: int) -> float:
+        # Each client's maximum is the one _state takes over the moved set, up
+        # to the sign of a zero, which the sum from 0.0 erases, so a move sums
+        # the same floats in the same client order as value().
+        return sum([r[x] if r[x] > m else m for m, r in zip(best, self.similarity)], 0.0)
+
+    def _total(self, best: Iterable[float]) -> float:
+        return sum(best, 0.0)
 
 
 @dataclass(frozen=True)
@@ -307,11 +299,11 @@ class GraphCut(_AtomSum):
             normalized.append((u, v, _check_weight(f"edges[{i}] weight", w)))
             incident.setdefault(u, []).append(i)
             incident.setdefault(v, []).append(i)
-        _check_total("edge weight", (w for _, _, w in normalized))
-        object.__setattr__(self, "edges", tuple(normalized))
         # Derived, not fields: equality, hashing and the JSON form ignore them.
-        object.__setattr__(self, "_incident", {x: tuple(e) for x, e in incident.items()})
         object.__setattr__(self, "_weights", tuple(w for _, _, w in normalized))
+        self._check_total("edge weight", range(len(normalized)))
+        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "_incident", {x: tuple(e) for x, e in incident.items()})
 
     def validate_for(self, n: int) -> None:
         for i, (u, v, _) in enumerate(self.edges):
@@ -321,7 +313,7 @@ class GraphCut(_AtomSum):
                     f"out of range for n={_int_text(n)}"
                 )
 
-    value = _AtomSum.value  # in the class dict, as for Coverage
+    value = _Summed.value  # in the class dict, as for Coverage
 
     def _atoms_of(self, x: int) -> Iterable[int]:
         # Ids outside 0 .. n-1 are never endpoints.
@@ -345,9 +337,9 @@ class Modular(_AtomSum):
         checked = tuple(
             _check_weight(f"values[{i}]", w) for i, w in enumerate(self.values)
         )
-        _check_total("values", checked)
-        object.__setattr__(self, "values", checked)
         object.__setattr__(self, "_weights", checked)
+        self._check_total("values", range(len(checked)))
+        object.__setattr__(self, "values", checked)
 
     def validate_for(self, n: int) -> None:
         if len(self.values) != n:
@@ -390,8 +382,8 @@ class Oracle:
     ``eval(items, near=base)`` values a set that is base plus one id x, or
     base plus x minus one member y, with the descriptor's move kernel for
     base: the same float as a whole-set value, at a fraction of its cost.
-    Coverage, graph cut and modular share one kernel (see ``_AtomSum``);
-    facility location has its own.  The oracle keeps the kernel of the last
+    All four kinds share one kernel and one value path (see ``_Summed``);
+    each kind gives only its state, join and total.  The oracle keeps the kernel of the last
     base it was given (a one-entry cache), so a scoring pass against one
     feasible set builds it once.
     """
@@ -417,22 +409,20 @@ class Oracle:
     def eval_count(self) -> int:
         return self._count
 
-    def eval(self, items: Collection[int], near: Collection[int] | None = None) -> float:
+    def eval(self, items: Iterable[int], near: Collection[int] | None = None) -> float:
         """Value of the item set.  Counts as one oracle call.
 
         ``near``, when given, is a set that items is likely one move from (see
         the class docstring); it changes the cost of the call, not its value.
         """
+        items = frozenset(items)
         memo = self._memo
         if memo is not None:
-            items = frozenset(items)
             value = memo.get(items)
             if value is not None:
                 # A memoised set was validated when it was first valued.
                 self._count += 1
                 return value
-        elif near is not None:
-            items = frozenset(items)
         value = None if near is None else self._move_value(items, frozenset(near))
         if value is None:
             self._check_ids(items)

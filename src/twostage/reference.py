@@ -13,10 +13,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exceptions import GuardExceededError
-from .functions import Oracle
+from .functions import Oracle, _int_text
 from .instances import Instance
 from .solver import TwoStageSolution
 
@@ -54,17 +54,28 @@ class ExactResult:
     witness: tuple[frozenset[int], ...] | frozenset[int]
 
 
+def _exact_eval_terms(set_size: int, k: int) -> Iterator[int]:
+    return (math.comb(set_size, j) for j in range(min(k, set_size) + 1))
+
+
+def _brute_force_terms(instance: Instance) -> Iterator[int]:
+    n, k, m = instance.n, instance.k, instance.m
+    return (m * math.comb(n, s) * exact_eval_cost(s, k) for s in range(instance.l + 1))
+
+
+def _exceeds(terms: Iterable[int], limit: int) -> bool:
+    # Adds only until the sum passes limit: the full sum can take minutes.
+    return any(total > limit for total in itertools.accumulate(terms))
+
+
 def exact_eval_cost(set_size: int, k: int) -> int:
     """Subsets of one size-|S| set that exact F-evaluation probes per function."""
-    return sum(math.comb(set_size, j) for j in range(min(k, set_size) + 1))
+    return sum(_exact_eval_terms(set_size, k))
 
 
 def brute_force_cost(instance: Instance) -> int:
     """Total oracle calls for enumerating every |S| <= l reduced set."""
-    per_size = 0
-    for s in range(instance.l + 1):
-        per_size += math.comb(instance.n, s) * exact_eval_cost(s, instance.k)
-    return per_size * instance.m
+    return sum(_brute_force_terms(instance))
 
 
 def _best_subset(
@@ -108,11 +119,10 @@ def evaluate_F_exact(instance: Instance, S: Iterable[int]) -> ExactResult:
     evaluations.
     """
     S = frozenset(S)
-    cost = exact_eval_cost(len(S), instance.k)
-    if cost > EXACT_EVAL_GUARD:
+    if _exceeds(_exact_eval_terms(len(S), instance.k), EXACT_EVAL_GUARD):
         raise GuardExceededError(
-            f"exact evaluation of a {len(S)}-item set with k={instance.k} needs "
-            f"{cost} subset evaluations per function, limit {EXACT_EVAL_GUARD}; "
+            f"exact evaluation of a {len(S)}-item set with k={_int_text(instance.k)} "
+            f"needs more than {EXACT_EVAL_GUARD} subset evaluations per function; "
             "use evaluate_F_greedy instead"
         )
     members = sorted(S)
@@ -183,10 +193,9 @@ def brute_force_optimum(instance: Instance) -> ExactResult:
     tabulated functions (_tabulated_F) while the tables fit in _TABLE_LIMIT
     entries, and from evaluate_F_exact past it; both give the same floats.
     """
-    cost = brute_force_cost(instance)
-    if cost > BRUTE_FORCE_GUARD:
+    if _exceeds(_brute_force_terms(instance), BRUTE_FORCE_GUARD):
         raise GuardExceededError(
-            f"brute-force optimum needs {cost} oracle calls, limit {BRUTE_FORCE_GUARD}"
+            f"brute-force optimum needs more than {BRUTE_FORCE_GUARD} oracle calls"
         )
     if instance.m * exact_eval_cost(instance.n, min(instance.k, instance.l)) <= _TABLE_LIMIT:
         value = _tabulated_F(instance)

@@ -195,6 +195,13 @@ class TestEval:
         with pytest.raises(ValidationError, match="item -1 out of range"):
             oracle.eval({-1})
 
+    @pytest.mark.parametrize("memo", [None, {}])
+    def test_items_are_read_once(self, memo):
+        # An iterator is consumed by its first reading: the id check once
+        # read it before the value did, which then saw no items.
+        oracle = Oracle(Modular((1.0, 2.0)), 2, memo)
+        assert oracle.eval(x for x in [0, 1]) == 3.0
+
     def test_eval_count_increments_once_per_call(self):
         oracle = Oracle(helpers.path_cut(), n=3)
         for expected in range(1, 6):

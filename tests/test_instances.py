@@ -168,6 +168,12 @@ class TestJsonRoundTrip:
             ('{"n": 1, "k": 1, "l": 1, "functions": [{"type": "facility_location", '
              '"similarity": [[1e308], [1e308]]}]}',
              "similarity row maxima total is not finite"),
+            # fsum of these maxima is finite, but value() sums them left to
+            # right, and that sum overflows.
+            pytest.param('{"n": 1, "k": 1, "l": 1, "functions": [{"type": "facility_location", '
+                         '"similarity": [[8.417313978898153e+307], [3.6595045928723987e+307], '
+                         '[5.900112776852606e+307]]}]}',
+                         "similarity row maxima total is not finite", id="fl-sum-overflow"),
             pytest.param("[" * 100000, "instance JSON is nested too deeply",
                          id="deeply-nested"),
             pytest.param('{"n": 1' + "0" * 5000 + ', "k": 1, "l": 1, "functions": []}',

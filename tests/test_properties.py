@@ -1,5 +1,5 @@
-"""Property tests (hypothesis) for the atom-sum kinds: coverage, graph cut and
-modular, with every weight drawn from helpers.ADVERSARIAL_WEIGHTS.
+"""Property tests (hypothesis) for all four kinds: coverage, facility location,
+graph cut and modular, with every weight drawn from helpers.ADVERSARIAL_WEIGHTS.
 
 The seeded sweeps in test_functions.py and test_solver.py sample ordinary
 weights; here hypothesis searches the adversarial pool, n <= 7, for a kernel
@@ -12,7 +12,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostage.functions import Coverage, GraphCut, Modular, Oracle
+from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular, Oracle
 from twostage.solver import trim
 
 from helpers import ADVERSARIAL_WEIGHTS
@@ -31,6 +31,12 @@ def coverages(draw, n: int) -> Coverage:
 
 
 @st.composite
+def facilities(draw, n: int) -> FacilityLocation:
+    rows = st.lists(weights, min_size=n, max_size=n).map(tuple)
+    return FacilityLocation(tuple(draw(st.lists(rows, max_size=4))))
+
+
+@st.composite
 def graph_cuts(draw, n: int) -> GraphCut:
     pairs = list(itertools.combinations(range(n), 2))
     chosen = draw(st.dictionaries(st.sampled_from(pairs), weights)) if pairs else {}
@@ -46,7 +52,7 @@ def modulars(draw, n: int) -> Modular:
 def cases(draw):
     """(n, descriptor, a subset of range(n))"""
     n = draw(st.integers(1, 7))
-    descriptor = draw(st.one_of(coverages(n), graph_cuts(n), modulars(n)))
+    descriptor = draw(st.one_of(coverages(n), facilities(n), graph_cuts(n), modulars(n)))
     return n, descriptor, draw(st.frozensets(st.integers(0, n - 1)))
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -31,6 +33,21 @@ def zoo_instance(k=1, l=2):
     return Instance(3, k, l, (helpers.zoo_coverage(),))
 
 
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestEvaluateFExact:
     def test_coverage_best_single_item(self):
         result = evaluate_F_exact(zoo_instance(), {0, 1})
@@ -58,6 +75,15 @@ class TestEvaluateFExact:
         assert exact_eval_cost(40, 6) > EXACT_EVAL_GUARD
         with pytest.raises(GuardExceededError, match="use evaluate_F_greedy"):
             evaluate_F_exact(instance, range(40))
+
+    @pytest.mark.parametrize("k", [15000, 10**5000], ids=["k=n", "k-past-digit-limit"])
+    def test_guard_refuses_a_huge_enumeration_at_once(self, k):
+        # Summing all 15,001 binomials of 15,000 took 38 s, and the count, past
+        # str's digit limit, then broke the message with a plain ValueError;
+        # so does a k past that limit.
+        instance = Instance(15000, k, 1, (GraphCut(()),))
+        with deadline(1.0), pytest.raises(GuardExceededError, match="use evaluate_F_greedy"):
+            evaluate_F_exact(instance, range(15000))
 
     @pytest.mark.parametrize("reporter", [evaluate_F_exact, evaluate_F_greedy])
     def test_witness_replay_reproduces_value(self, reporter):
@@ -129,6 +155,13 @@ class TestBruteForceOptimum:
         instance = Instance(40, 3, 12, (Modular(tuple(float(i) for i in range(40))),))
         assert brute_force_cost(instance) > BRUTE_FORCE_GUARD
         with pytest.raises(GuardExceededError, match="brute-force optimum needs"):
+            brute_force_optimum(instance)
+
+    def test_guard_refuses_a_huge_search_at_once(self):
+        # run_experiment asks for the optimum before every run; counting all
+        # of this instance's calls took 91 s.
+        instance = Instance(2000, 2000, 2000, (GraphCut(()),))
+        with deadline(1.0), pytest.raises(GuardExceededError, match="brute-force optimum needs"):
             brute_force_optimum(instance)
 
     def test_optimum_witness_replays(self):
