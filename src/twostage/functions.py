@@ -57,6 +57,28 @@ def _check_weight(label: str, w: object) -> float:
     return w
 
 
+def _check_weights(label: str, ws: Iterable[object]) -> tuple[float, ...]:
+    """``_check_weight`` of every entry, ``label[i]`` naming entry i.
+
+    A row of plain non-negative floats with a finite fsum is returned as it
+    is after one C-level pass.  Any other row is walked entry by entry, so the
+    first bad entry gets ``_check_weight``'s message: a NaN that ``min`` skips
+    leaves the fsum NaN, and a row whose fsum overflows may still hold only
+    finite weights.
+    """
+    ws = tuple(ws)
+    try:
+        if (
+            set(map(type, ws)) <= {float}
+            and min(ws, default=0.0) >= 0.0
+            and math.isfinite(math.fsum(ws))
+        ):
+            return ws
+    except OverflowError:
+        pass
+    return tuple(_check_weight(f"{label}[{i}]", w) for i, w in enumerate(ws))
+
+
 def _is_list(x: object, of: tuple[type, ...] | None = None) -> bool:
     # A JSON array arrives as a list, a constructor argument usually as a tuple.
     return isinstance(x, (list, tuple)) and (of is None or all(isinstance(e, of) for e in x))
@@ -100,8 +122,8 @@ class _Summed:
 
     def _check_total(self, label: str, state: object) -> None:
         # No value exceeds the total of this state, summed by the kind's own
-        # rule, so a finite total keeps every value() call finite.  fsum
-        # raises where the builtin sum returns inf.
+        # rule, so a finite total keeps every value() call finite.  An int
+        # total raises where the builtin sum returns inf.
         try:
             finite = math.isfinite(self._total(state))
         except OverflowError:
@@ -111,37 +133,53 @@ class _Summed:
 
 
 class _AtomSum(_Summed):
-    """The state of coverage, graph cut and modular: a set of atoms.  The
-    atoms are the universe elements a set covers, the edges it cuts, or its
-    own items.
+    """The state of coverage, graph cut and modular: a set of atoms and the
+    exact total of their weights.  The atoms are the universe elements a set
+    covers, the edges it cuts, or its own items.
 
     A kind gives item x's atoms (``_atoms_of(x)``, none for an id outside
-    0 .. n-1) and their weights (``_weights``).  A set's atoms join those of
-    its members: a union, or for graph cut (``_toggle``) a symmetric
-    difference, which keeps the edges with exactly one end in the set.  The
-    value is the ``math.fsum`` of their weights.  fsum is correctly rounded,
-    so a value depends neither on the order in which a set iterates nor on
-    how its atoms were gathered.
+    0 .. n-1) and a ``_join`` that adds only x's change to the total.  A
+    set's atoms join those of its members: a union, or for graph cut
+    (``_toggle``) a symmetric difference, which keeps the edges with exactly
+    one end in the set.
+
+    Each weight is held as an exact integer multiple of ``1 / _scale``
+    (``_ints``), where ``_scale`` is 2**s for the largest binary exponent s
+    among the weights, at most 1074.  A total is then an exact int, and a
+    value is that int divided by ``_scale``: int true division is correctly
+    rounded, so a value is the very float ``math.fsum`` gives the atoms'
+    weights, and it depends neither on the order in which a set iterates nor
+    on how its atoms were gathered.
     """
 
     _toggle = False
-    _weights: tuple[float, ...]
+    _ints: tuple[int, ...]
+    _scale: int
 
-    def _state(self, items: Iterable[int]) -> set[int]:
+    def _hold(self, label: str, weights: Iterable[float]) -> None:
+        """Keep the (checked) weights as ints, and check that their total,
+        which no value exceeds, is finite."""
+        ratios = [w.as_integer_ratio() for w in weights]
+        # Every denominator is a power of two, so each divides the largest.
+        scale = max([q for _, q in ratios], default=1)
+        ints = tuple([p * (scale // q) for p, q in ratios])
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_scale", scale)
+        self._check_total(label, ((), sum(ints)))
+
+    def _state(self, items: Iterable[int]) -> tuple[set[int], int]:
         atoms: set[int] = set()
         join = atoms.symmetric_difference_update if self._toggle else atoms.update
         # A repeated id joins once: a second toggle would undo the first.
         for x in frozenset(items):
             join(self._atoms_of(x))
-        return atoms
+        ints = self._ints
+        return atoms, sum([ints[u] for u in atoms])
 
-    def _join(self, atoms: set[int], x: int) -> float:
-        join = atoms.symmetric_difference if self._toggle else atoms.union
-        return self._total(join(self._atoms_of(x)))
-
-    def _total(self, atoms: Iterable[int]) -> float:
-        weights = self._weights
-        return math.fsum([weights[u] for u in atoms])
+    def _total(self, state: tuple[Collection[int], int]) -> float:
+        # Raises OverflowError where fsum would: when the rounded total is
+        # past the largest float.
+        return state[1] / self._scale
 
 
 @dataclass(frozen=True)
@@ -164,22 +202,23 @@ class Coverage(_AtomSum):
             raise ValidationError("coverage universe_weights must be a list")
         if not _is_list(self.covers, (list, tuple, set, frozenset)):
             raise ValidationError("coverage covers must be a list of lists")
-        weights = tuple(
-            _check_weight(f"universe_weights[{i}]", w)
-            for i, w in enumerate(self.universe_weights)
-        )
-        object.__setattr__(self, "_weights", weights)
+        weights = _check_weights("universe_weights", self.universe_weights)
+        self._hold("universe_weights", weights)
         m = len(weights)
-        self._check_total("universe_weights", range(m))
         normalized = []
         for i, cover in enumerate(self.covers):
-            # Checked before hashing: a nested JSON list is unhashable.
-            for u in cover:
-                if not 0 <= _check_int(f"covers[{i}] element", u) < m:
-                    raise ValidationError(
-                        f"covers[{i}] references universe element {_int_text(u)}, "
-                        f"universe has {m} elements"
-                    )
+            # Checked before hashing: a nested JSON list is unhashable.  A
+            # cover of plain ints in range passes in one C-level pass; any
+            # other is walked, so its first bad element is the one named.
+            if not (set(map(type, cover)) <= {int} and (
+                not cover or (min(cover) >= 0 and max(cover) < m)
+            )):
+                for u in cover:
+                    if not 0 <= _check_int(f"covers[{i}] element", u) < m:
+                        raise ValidationError(
+                            f"covers[{i}] references universe element {_int_text(u)}, "
+                            f"universe has {m} elements"
+                        )
             normalized.append(frozenset(cover))
         object.__setattr__(self, "universe_weights", weights)
         object.__setattr__(self, "covers", tuple(normalized))
@@ -193,9 +232,16 @@ class Coverage(_AtomSum):
     # perfbench's tracer wraps cls.__dict__["value"] of each kind it times.
     value = _Summed.value
 
-    def _atoms_of(self, x: int) -> Iterable[int]:
+    def _atoms_of(self, x: int) -> frozenset[int]:
         covers = self.covers
-        return covers[x] if 0 <= x < len(covers) else ()
+        return covers[x] if 0 <= x < len(covers) else frozenset()
+
+    def _join(self, state: tuple[set[int], int], x: int) -> float:
+        # Only the elements x newly covers add to the total.
+        atoms, total = state
+        ints = self._ints
+        added = [ints[u] for u in self._atoms_of(x).difference(atoms)]
+        return (total + sum(added)) / self._scale
 
 
 @dataclass(frozen=True)
@@ -219,9 +265,7 @@ class FacilityLocation(_Summed):
         rows = []
         width = None
         for c, row in enumerate(self.similarity):
-            checked = tuple(
-                _check_weight(f"similarity[{c}][{x}]", w) for x, w in enumerate(row)
-            )
+            checked = _check_weights(f"similarity[{c}]", row)
             if width is None:
                 width = len(checked)
             elif len(checked) != width:
@@ -274,7 +318,8 @@ class GraphCut(_AtomSum):
     Edges are (u, v, weight) triples over real item ids.
 
     Each vertex keeps the indices of its incident edges, its atoms, so a value
-    costs the degree sum of A plus an fsum over the cut, not |E|.
+    costs the degree sum of A plus a sum over the cut, not |E|, and a move
+    from A costs the degree of the added item.
     """
 
     edges: tuple[tuple[int, int, float], ...]
@@ -300,8 +345,7 @@ class GraphCut(_AtomSum):
             incident.setdefault(u, []).append(i)
             incident.setdefault(v, []).append(i)
         # Derived, not fields: equality, hashing and the JSON form ignore them.
-        object.__setattr__(self, "_weights", tuple(w for _, _, w in normalized))
-        self._check_total("edge weight", range(len(normalized)))
+        self._hold("edge weight", [w for _, _, w in normalized])
         object.__setattr__(self, "edges", tuple(normalized))
         object.__setattr__(self, "_incident", {x: tuple(e) for x, e in incident.items()})
 
@@ -319,6 +363,14 @@ class GraphCut(_AtomSum):
         # Ids outside 0 .. n-1 are never endpoints.
         return self._incident.get(x, ())
 
+    def _join(self, state: tuple[set[int], int], x: int) -> float:
+        # Each of x's edges toggles: one already cut leaves the cut, any other
+        # enters it.
+        atoms, total = state
+        ints = self._ints
+        toggled = [-ints[e] if e in atoms else ints[e] for e in self._atoms_of(x)]
+        return (total + sum(toggled)) / self._scale
+
 
 @dataclass(frozen=True)
 class Modular(_AtomSum):
@@ -334,11 +386,8 @@ class Modular(_AtomSum):
     def __post_init__(self) -> None:
         if not _is_list(self.values):
             raise ValidationError("modular values must be a list")
-        checked = tuple(
-            _check_weight(f"values[{i}]", w) for i, w in enumerate(self.values)
-        )
-        object.__setattr__(self, "_weights", checked)
-        self._check_total("values", range(len(checked)))
+        checked = _check_weights("values", self.values)
+        self._hold("values", checked)
         object.__setattr__(self, "values", checked)
 
     def validate_for(self, n: int) -> None:
@@ -349,6 +398,12 @@ class Modular(_AtomSum):
 
     def _atoms_of(self, x: int) -> Iterable[int]:
         return (x,) if 0 <= x < len(self.values) else ()
+
+    def _join(self, state: tuple[set[int], int], x: int) -> float:
+        atoms, total = state
+        if x not in atoms and 0 <= x < len(self.values):
+            total += self._ints[x]
+        return total / self._scale
 
 
 FunctionDescriptor = Coverage | FacilityLocation | GraphCut | Modular

@@ -13,6 +13,7 @@ import random
 
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular
 from twostage.harness import write_csv
+from twostage.solver import RoundState, replacement_greedy, sampling_greedy
 
 
 def zoo_coverage() -> Coverage:
@@ -68,6 +69,88 @@ def ref_cut_value(edges, items) -> float:
 
 def ref_modular_value(values, items) -> float:
     return math.fsum(values[x] for x in set(items) if 0 <= x < len(values))
+
+
+def ref_value(descriptor):
+    """The reference value function of a descriptor, over an item set."""
+    if isinstance(descriptor, Coverage):
+        return lambda A: ref_coverage_value(descriptor.universe_weights, descriptor.covers, A)
+    if isinstance(descriptor, FacilityLocation):
+        return lambda A: ref_facility_value(descriptor.similarity, A)
+    if isinstance(descriptor, GraphCut):
+        return lambda A: ref_cut_value(descriptor.edges, A)
+    return lambda A: ref_modular_value(descriptor.values, A)
+
+
+def ref_solve(instance, seed):
+    """sampling_greedy(instance, seed), or replacement_greedy(instance) for
+    seed None, transcribed from README "Algorithms": (S, Ts, evals, rounds).
+
+    Every set is valued whole by the ref_*_value functions and counted here,
+    with no oracle, memo or move kernel.
+    """
+    n, k, l = instance.n, instance.k, instance.l
+    rng = None if seed is None else random.Random(seed)
+    top = 1 if rng is None else l
+    values = [ref_value(d) for d in instance.functions]
+    calls = 0
+
+    def f(i, A):
+        nonlocal calls
+        calls += 1
+        return values[i](A)
+
+    def best_move(i, T, x, base):
+        # Swaps in ascending victim id, then the add; only a strict gain wins.
+        gain, after = 0.0, T
+        for candidate in [(T | {x}) - {y} for y in sorted(T)] + ([T | {x}] if len(T) < k else []):
+            g = f(i, candidate) - base
+            if g > gain:
+                gain, after = g, candidate
+        return gain, after
+
+    def trim(i, B):
+        kept = set(B)
+        current = f(i, kept)
+        for x in sorted(B):
+            without = f(i, kept - {x})
+            if current - without < 0:
+                kept.discard(x)
+                current = without
+        return frozenset(kept)
+
+    S, Ts, rounds = set(), [frozenset()] * len(values), []
+    for r in range(1, l + 1):
+        unpicked = [x for x in range(n) if x not in S]
+        bases = [f(i, T) for i, T in enumerate(Ts)]
+        scores = []
+        for x in unpicked:
+            total = 0.0
+            for i, T in enumerate(Ts):
+                total += best_move(i, T, x, bases[i])[0]
+            scores.append((-total, x))
+        M = sorted(x for _, x in sorted(scores)[:top])
+        slot = 0 if rng is None else rng.randrange(top)
+        if slot < len(M):
+            x = M[slot]
+            S.add(x)
+            for i, T in enumerate(Ts):
+                gain, after = best_move(i, T, x, f(i, T))
+                Ts[i] = trim(i, after) if gain > 0.0 else after
+        rounds.append(RoundState(r, frozenset(S), tuple(Ts), calls))
+    return frozenset(S), tuple(Ts), calls, rounds
+
+
+def assert_solves_like_reference(instance, seed) -> None:
+    """sampling_greedy (replacement_greedy for seed None) returns ref_solve's
+    S, Ts and evals, and reports ref_solve's rounds."""
+    rounds = []
+    if seed is None:
+        solution = replacement_greedy(instance, rounds.append)
+    else:
+        solution = sampling_greedy(instance, seed, rounds.append)
+    got = (solution.S, solution.Ts, solution.evals, rounds)
+    assert got == ref_solve(instance, seed), (instance, seed)
 
 
 # ---------------------------------------------------------------------------

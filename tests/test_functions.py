@@ -6,6 +6,7 @@ implementations in helpers.py before the library code existed.
 
 import itertools
 import random
+import sys
 from dataclasses import fields
 
 import pytest
@@ -29,6 +30,13 @@ from twostage.instances import (
 
 import helpers
 from helpers import ADVERSARIAL_CUT, ADVERSARIAL_WEIGHTS
+
+NAN = float("nan")
+M = sys.float_info.max
+
+
+class _Float(float):
+    pass
 
 
 class TestConstruction:
@@ -122,6 +130,53 @@ class TestConstruction:
     def test_bad_entry_is_named(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
+
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            # min() skips a NaN after position 0; the row's fsum does not.
+            (lambda: Coverage((1.0, NAN), (frozenset(),)),
+             r"^universe_weights\[1\] is not finite$"),
+            (lambda: FacilityLocation(((0.5, 0.25), (0.5, NAN))),
+             r"^similarity\[1\]\[1\] is not finite$"),
+            (lambda: Modular((1.0, 2.0, NAN)), r"^values\[2\] is not finite$"),
+            (lambda: Modular((1.0, float("inf"))), r"^values\[1\] is not finite$"),
+            (lambda: FacilityLocation(((0.5, -1.0),)), r"^similarity\[0\]\[1\] is negative$"),
+            (lambda: Modular((1.0, True)), r"^values\[1\] is not a number$"),
+            (lambda: Coverage((1.0, 1.0), ([0, True],)),
+             r"^covers\[0\] element must be an integer$"),
+            (lambda: Coverage((1.0, 1.0), ([0], [1, [0]])),
+             r"^covers\[1\] element must be an integer$"),
+            (lambda: Coverage((1.0, 1.0), ([1, -1],)),
+             r"^covers\[0\] references universe element -1, universe has 2 elements$"),
+        ],
+        ids=["nan-after-first", "fl-nan-after-first", "modular-nan-last", "inf", "negative",
+             "bool-weight", "bool-cover-element", "nested-cover-list", "negative-cover-element"],
+    )
+    def test_first_bad_weight_or_cover_element_is_named(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+    @pytest.mark.parametrize(
+        ("build", "field", "want"),
+        [
+            (lambda: descriptor_from_json({"type": "modular", "values": [1, 2]}), "values",
+             (1.0, 2.0)),
+            (lambda: Modular((_Float(0.5), 0.25)), "values", (0.5, 0.25)),
+            (lambda: Coverage((-0.0, 1.0), ([0], [1])), "universe_weights", (-0.0, 1.0)),
+            (lambda: FacilityLocation(((0.5, -0.0),)), "similarity", ((0.5, -0.0),)),
+            # The row's fsum overflows, but each weight is finite and so is
+            # the client's best similarity.
+            (lambda: FacilityLocation(((M, M),)), "similarity", ((M, M),)),
+        ],
+        ids=["json-integers", "float-subclass", "coverage-negative-zero", "fl-negative-zero",
+             "fl-row-sum-overflows"],
+    )
+    def test_accepted_weights_are_kept_as_plain_floats(self, build, field, want):
+        got = getattr(build(), field)
+        if got and isinstance(got[0], tuple):
+            got, want = got[0], want[0]
+        assert [(type(w), w.hex()) for w in got] == [(float, w.hex()) for w in want]
 
     def test_edge_endpoint_checked_against_n(self):
         with pytest.raises(ValidationError, match=r"edges\[0\] endpoint 5 out of range for n=3"):
@@ -507,6 +562,65 @@ class TestMoveKernels:
         assert oracle.eval_count == 0
         # A rejected base leaves no kernel behind.
         _assert_same_float(oracle.eval({0, 1}, near={0}), descriptor.value({0, 1}))
+
+
+# Weights from the smallest subnormal to a quarter of the largest float: each
+# is held as a multiple of 2**-1074, so totals run to about 2,100 bits.
+EXTREMES = (5e-324, 2.0**53, 0.1, M / 4)
+
+
+class TestExactTotals:
+    """Values and kernel moves over extreme and signed-zero weights are the
+    very floats of the fsum references in helpers.py."""
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            Coverage(EXTREMES + EXTREMES[::-1] + (0.1,), (
+                frozenset({0, 4, 8}), frozenset({1, 2}), frozenset({2, 3, 5}),
+                frozenset({6, 7, 0}), frozenset(),
+            )),
+            GraphCut((
+                (0, 1, 5e-324), (0, 2, 2.0**53), (1, 2, M / 4), (2, 3, 0.1),
+                (3, 4, M / 4), (0, 4, 5e-324), (1, 3, 0.1), (1, 4, M / 4),
+            )),
+            Modular(EXTREMES + (5e-324,)),
+            Coverage((-0.0, -0.0), (frozenset({0}), frozenset({0, 1}), frozenset(), frozenset({1}),
+                                    frozenset({0}))),
+            GraphCut(((0, 1, -0.0), (1, 2, -0.0), (2, 3, -0.0), (0, 4, -0.0))),
+            Modular((-0.0,) * 5),
+        ],
+        ids=["coverage", "graph_cut", "modular", "coverage-negative-zeros",
+             "graph_cut-negative-zeros", "modular-negative-zeros"],
+    )
+    def test_every_value_and_move_is_the_reference_float(self, descriptor):
+        n = 5
+        ref = helpers.ref_value(descriptor)
+        oracle = Oracle(descriptor, n)
+        for T in _all_subsets(n):
+            _assert_same_float(descriptor.value(T), ref(T))
+            for x in sorted(set(range(n)) - T):
+                for move in _moves(T, x):
+                    _assert_same_float(oracle.eval(move, near=T), ref(move))
+
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda: Coverage((M, M), (frozenset({0}),)), "universe_weights total is not finite"),
+            (lambda: GraphCut(((0, 1, M), (1, 2, M))), "edge weight total is not finite"),
+            (lambda: Modular((M, M)), "values total is not finite"),
+            # M plus half an ulp of M rounds up, to infinity; a little less
+            # rounds down, to M.
+            (lambda: Modular((M, 2.0**970)), "values total is not finite"),
+        ],
+        ids=["coverage", "graph_cut", "modular", "modular-half-ulp"],
+    )
+    def test_total_past_the_largest_float_is_rejected(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
+
+    def test_total_just_below_the_rounding_edge_is_kept(self):
+        _assert_same_float(Modular((M, 2.0**969)).value({0, 1}), M)
 
 
 class TestDuplicateIds:

@@ -4,7 +4,9 @@ graph cut and modular, with every weight drawn from helpers.ADVERSARIAL_WEIGHTS.
 The seeded sweeps in test_functions.py and test_solver.py sample ordinary
 weights; here hypothesis searches the adversarial pool, n <= 7, for a kernel
 move that differs from a whole-set value, or a trim that loses value or keeps
-a member of a monotone function's set whose removal would raise it.
+a member of a monotone function's set whose removal would raise it.  It also
+runs both solvers on instances of up to three such functions against
+helpers.ref_solve.
 """
 
 import itertools
@@ -13,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular, Oracle
+from twostage.instances import Instance
 from twostage.solver import trim
 
-from helpers import ADVERSARIAL_WEIGHTS
+from helpers import ADVERSARIAL_WEIGHTS, assert_solves_like_reference
 
 weights = st.sampled_from(ADVERSARIAL_WEIGHTS)
 
@@ -48,12 +51,22 @@ def modulars(draw, n: int) -> Modular:
     return Modular(tuple(draw(st.lists(weights, min_size=n, max_size=n))))
 
 
+def descriptors(n: int):
+    return st.one_of(coverages(n), facilities(n), graph_cuts(n), modulars(n))
+
+
 @st.composite
 def cases(draw):
     """(n, descriptor, a subset of range(n))"""
     n = draw(st.integers(1, 7))
-    descriptor = draw(st.one_of(coverages(n), facilities(n), graph_cuts(n), modulars(n)))
-    return n, descriptor, draw(st.frozensets(st.integers(0, n - 1)))
+    return n, draw(descriptors(n)), draw(st.frozensets(st.integers(0, n - 1)))
+
+
+@st.composite
+def instances(draw) -> Instance:
+    n = draw(st.integers(1, 7))
+    functions = draw(st.lists(descriptors(n), min_size=1, max_size=3))
+    return Instance(n, draw(st.integers(1, 3)), draw(st.integers(1, n)), tuple(functions))
 
 
 # derandomize: the suite explores the same examples on every run.
@@ -83,3 +96,10 @@ def test_trim_keeps_the_value_and_no_harmful_member(case):
     # test_solver.py::TestTrim::test_star_cut_keeps_no_harmful_member.
     if descriptor.monotone:
         assert [x for x in sorted(A) if value(A) - value(A - {x}) < 0] == []
+
+
+@search
+@given(instances(), st.none() | st.integers(0, 2**32 - 1))
+def test_solvers_match_the_reference_solver(instance, seed):
+    # seed None runs replacement_greedy.
+    assert_solves_like_reference(instance, seed)

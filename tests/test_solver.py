@@ -226,6 +226,21 @@ class TestSamplingGreedy:
             assert solution.evals <= 3 * l * m * (n + l) * (k + 1)
 
 
+class TestReferenceSolver:
+    """Both solvers against helpers.ref_solve, an independent transcription of
+    README "Algorithms" that values every set whole: the same S, Ts, evals and
+    rounds on the 100 instances of the acceptance sweeps."""
+
+    @pytest.mark.parametrize("seed", [None, 17, 18])
+    def test_acceptance_instances(self, seed):
+        grid = [(5, 1, 1, 2), (6, 2, 2, 3), (7, 3, 2, 4), (8, 2, 1, 3), (6, 3, 2, 2)]
+        for kinds in (("graph_cut", "mixed"), ("coverage", "facility_location")):
+            for idx in range(50):
+                n, m, k, l = grid[idx % len(grid)]
+                instance = generate_instance(kinds[idx // 25], n, m, k, l, seed=1000 + idx)
+                helpers.assert_solves_like_reference(instance, seed)
+
+
 class TestExpectedFEstimate:
     """Monte-Carlo estimates of the feasible-set value sum, read off the
     sum_fT column of seeded run_experiment trials."""
