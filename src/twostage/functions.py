@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Collection, Iterable
+from typing import Collection, Iterable
 
 from .exceptions import ValidationError
 
@@ -84,41 +84,19 @@ def _is_list(x: object, of: tuple[type, ...] | None = None) -> bool:
     return isinstance(x, (list, tuple)) and (of is None or all(isinstance(e, of) for e in x))
 
 
-# move(x, None) is f(base + x), move(x, y) is f(base + x - y), for an id x
-# outside base and a member y: see _Summed.move_kernel.
-MoveKernel = Callable[[int, int | None], float]
-
-
 class _Summed:
     """The value of every kind: a set's state, summed.
 
     A kind gives three hooks: ``_state(items)``, what a set contributes
     (ids outside 0 .. n-1 contribute nothing); ``_join(state, x)``, the value
     of that state with item x added; and ``_total(state)``, the value of a
-    state.  The same hooks value whole sets and moves, so both give the same
+    state.  ``value`` totals a set's state, and Oracle values a move from a
+    base T as the state of T or of T - y joined with x, so both give the same
     float.
     """
 
     def value(self, items: Collection[int]) -> float:
         return self._total(self._state(items))
-
-    def move_kernel(self, base: frozenset[int]) -> MoveKernel:
-        """Values of base + x and base + x - y from the state of base and,
-        built once per y, of base - y, each joined with x."""
-        state, join = self._state, self._join
-        at_base = state(base)
-        without: dict[int, object] = {}
-
-        def move(x: int, y: int | None) -> float:
-            if y is None:
-                s = at_base
-            else:
-                s = without.get(y)
-                if s is None:
-                    s = without[y] = state(base - {y})
-            return join(s, x)
-
-        return move
 
     def _check_total(self, label: str, state: object) -> None:
         # No value exceeds the total of this state, summed by the kind's own
@@ -138,10 +116,11 @@ class _AtomSum(_Summed):
     covers, the edges it cuts, or its own items.
 
     A kind gives item x's atoms (``_atoms_of(x)``, none for an id outside
-    0 .. n-1) and a ``_join`` that adds only x's change to the total.  A
-    set's atoms join those of its members: a union, or for graph cut
-    (``_toggle``) a symmetric difference, which keeps the edges with exactly
-    one end in the set.
+    0 .. n-1).  A set's atoms join those of its members: a union, or for graph
+    cut (``_toggle``) a symmetric difference, which keeps the edges with
+    exactly one end in the set.  ``_join`` adds to the total only the atoms x
+    brings that the state lacks, so coverage and modular give frozensets;
+    graph cut overrides it with a toggle.
 
     Each weight is held as an exact integer multiple of ``1 / _scale``
     (``_ints``), where ``_scale`` is 2**s for the largest binary exponent s
@@ -180,6 +159,11 @@ class _AtomSum(_Summed):
         # Raises OverflowError where fsum would: when the rounded total is
         # past the largest float.
         return state[1] / self._scale
+
+    def _join(self, state: tuple[set[int], int], x: int) -> float:
+        atoms, total = state
+        ints = self._ints
+        return (total + sum([ints[u] for u in self._atoms_of(x).difference(atoms)])) / self._scale
 
 
 @dataclass(frozen=True)
@@ -235,13 +219,6 @@ class Coverage(_AtomSum):
     def _atoms_of(self, x: int) -> frozenset[int]:
         covers = self.covers
         return covers[x] if 0 <= x < len(covers) else frozenset()
-
-    def _join(self, state: tuple[set[int], int], x: int) -> float:
-        # Only the elements x newly covers add to the total.
-        atoms, total = state
-        ints = self._ints
-        added = [ints[u] for u in self._atoms_of(x).difference(atoms)]
-        return (total + sum(added)) / self._scale
 
 
 @dataclass(frozen=True)
@@ -396,14 +373,8 @@ class Modular(_AtomSum):
                 f"modular values has {len(self.values)} entries, expected n={_int_text(n)}"
             )
 
-    def _atoms_of(self, x: int) -> Iterable[int]:
-        return (x,) if 0 <= x < len(self.values) else ()
-
-    def _join(self, state: tuple[set[int], int], x: int) -> float:
-        atoms, total = state
-        if x not in atoms and 0 <= x < len(self.values):
-            total += self._ints[x]
-        return total / self._scale
+    def _atoms_of(self, x: int) -> frozenset[int]:
+        return frozenset((x,)) if 0 <= x < len(self.values) else frozenset()
 
 
 FunctionDescriptor = Coverage | FacilityLocation | GraphCut | Modular
@@ -435,15 +406,15 @@ class Oracle:
     the value is the same float.
 
     ``eval(items, near=base)`` values a set that is base plus one id x, or
-    base plus x minus one member y, with the descriptor's move kernel for
-    base: the same float as a whole-set value, at a fraction of its cost.
-    All four kinds share one kernel and one value path (see ``_Summed``);
-    each kind gives only its state, join and total.  The oracle keeps the kernel of the last
-    base it was given (a one-entry cache), so a scoring pass against one
-    feasible set builds it once.
+    base plus x minus one member y, as the descriptor's state of base, or of
+    base - y, joined with x (see ``_Summed``): the same float as a whole-set
+    value, at a fraction of its cost.  For the last base it was given, the
+    oracle keeps each state it built, that of base under the key None and
+    that of base - y under y, and drops them all when another base arrives,
+    so a scoring pass against one feasible set builds each state once.
     """
 
-    __slots__ = ("descriptor", "n", "_count", "_memo", "_near", "_move")
+    __slots__ = ("descriptor", "n", "_count", "_memo", "_near", "_states")
 
     def __init__(
         self,
@@ -458,7 +429,7 @@ class Oracle:
         self._count = 0
         self._memo = memo
         self._near: frozenset[int] | None = None
-        self._move: MoveKernel | None = None
+        self._states: dict[int | None, object] = {}
 
     @property
     def eval_count(self) -> int:
@@ -488,7 +459,7 @@ class Oracle:
         return value
 
     def _move_value(self, items: frozenset[int], near: frozenset[int]) -> float | None:
-        """f(items) by near's move kernel, or None when items is not one move
+        """f(items) from a state of near, or None when items is not one move
         from near."""
         added = items - near
         if len(added) != 1:
@@ -503,10 +474,13 @@ class Oracle:
         self._check_ids(added)
         if near is not self._near and near != self._near:
             self._check_ids(near)
-            self._move = self.descriptor.move_kernel(near)
-            self._near = near
+            self._near, self._states = near, {}
+        descriptor, states = self.descriptor, self._states
+        state = states.get(y)
+        if state is None:
+            state = states[y] = descriptor._state(near if y is None else near - {y})
         (x,) = added
-        return self._move(x, y)
+        return descriptor._join(state, x)
 
     def _check_ids(self, items: Iterable[int]) -> None:
         n = self.n

@@ -49,8 +49,8 @@ def local_gain(
     resolve to the smallest id, and an add must strictly beat the best swap.
     ``base`` may supply a cached f(A) to save one evaluation; semantics are
     unchanged.  Each move is valued with A as ``near``, so the oracle prices
-    it with the move kernel it keeps for A (see Oracle); every move is still
-    one counted call.
+    it from the states it keeps for A (see Oracle); every move is still one
+    counted call.
     """
     current = frozenset(A)
     if len(current) > k:

@@ -61,15 +61,20 @@ def trim(f: Oracle, B: Iterable[int]) -> frozenset[int]:
 
     The result A satisfies f(A) >= f(B) and f(A) - f(A - {x}) >= 0 for every
     remaining x; one pass suffices because removals only raise the remaining
-    removal marginals under submodularity.  The second holds for exact
-    values: a marginal that rounds to 0 when it is tested can round below 0
-    after a later removal (a graph cut under adversarial weights).
+    removal marginals under submodularity.
     """
     kept = set(B)
     current = f.eval(kept)
+    descriptor = f.descriptor
     for x in sorted(kept):
         without = f.eval(kept - {x})
-        if current - without < 0:
+        # Only graph cut is non-monotone.  Its values are correctly rounded,
+        # so only a tie can hide a marginal's sign: that goes to the exact int
+        # totals its states hold, at no oracle call.
+        if current - without < 0 or (
+            current == without and not descriptor.monotone
+            and descriptor._state(kept - {x})[1] > descriptor._state(kept)[1]
+        ):
             kept.discard(x)
             current = without
     return frozenset(kept)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import math
 import random
+from fractions import Fraction
 
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular
 from twostage.harness import write_csv
@@ -87,7 +88,8 @@ def ref_solve(instance, seed):
     seed None, transcribed from README "Algorithms": (S, Ts, evals, rounds).
 
     Every set is valued whole by the ref_*_value functions and counted here,
-    with no oracle, memo or move kernel.
+    with no oracle, memo or move state.  Trim breaks a graph cut's float ties
+    with exact Fraction cut totals.
     """
     n, k, l = instance.n, instance.k, instance.l
     rng = None if seed is None else random.Random(seed)
@@ -109,12 +111,20 @@ def ref_solve(instance, seed):
                 gain, after = g, candidate
         return gain, after
 
+    def exact_cut(i, A):
+        # Uncounted: a float tie in trim goes to the exact cut totals.
+        edges = instance.functions[i].edges
+        return sum(Fraction(w) for u, v, w in edges if (u in A) + (v in A) == 1)
+
     def trim(i, B):
         kept = set(B)
         current = f(i, kept)
+        cut = isinstance(instance.functions[i], GraphCut)
         for x in sorted(B):
             without = f(i, kept - {x})
-            if current - without < 0:
+            if current - without < 0 or (
+                current == without and cut and exact_cut(i, kept - {x}) > exact_cut(i, kept)
+            ):
                 kept.discard(x)
                 current = without
         return frozenset(kept)

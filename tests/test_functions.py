@@ -27,6 +27,7 @@ from twostage.instances import (
     parse_instance,
     serialize_instance,
 )
+from twostage.local_search import score_items
 
 import helpers
 from helpers import ADVERSARIAL_CUT, ADVERSARIAL_WEIGHTS
@@ -506,7 +507,7 @@ class TestMoveKernels:
                     assert oracle.eval_count == before + 1
 
     def test_bases_can_alternate(self):
-        # The one-entry cache must rebuild for a new base, and compare bases
+        # The oracle must drop its states for a new base, and compare bases
         # by their items, not by identity.
         descriptor = FacilityLocation(((0.5, 0.1, 0.7, 0.2), (0.25, 0.75, 0.0, 1.0)))
         oracle = Oracle(descriptor, 4)
@@ -516,6 +517,24 @@ class TestMoveKernels:
                 for move in _moves(T, x):
                     near = set(T) if len(T) % 2 else T
                     _assert_same_float(oracle.eval(move, near=near), descriptor.value(move))
+
+    @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
+    def test_a_scoring_pass_builds_each_state_once(self, kind, monkeypatch):
+        # The value of T, the state of T and that of T - y per member y,
+        # however many items are scored.
+        T = frozenset({1, 4, 6})
+        for n in (7, 40):
+            descriptor = helpers.random_descriptor(random.Random(n), kind, n)
+            built, state = [], type(descriptor)._state
+
+            def counted(self, items):
+                built.append(frozenset(items))
+                return state(self, items)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(type(descriptor), "_state", counted)
+                score_items([Oracle(descriptor, n)], [T], range(n), k=5)
+            assert len(built) <= len(T) + 2, sorted(map(sorted, built))
 
     @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
     def test_sets_that_are_not_moves_get_whole_values(self, kind):
@@ -536,7 +555,7 @@ class TestMoveKernels:
             moves = [m for x in range(1, n, 2) for m in _moves(T, x)]
             for move in moves[::2]:
                 warm.eval(move)
-            # Half the moves are memo hits, half go to the kernel and fill the memo.
+            # Half the moves are memo hits, half are valued from states and fill the memo.
             for move in moves:
                 _assert_same_float(oracle.eval(move, near=T), descriptor.value(move))
             assert oracle.eval_count == len(moves)
@@ -560,7 +579,7 @@ class TestMoveKernels:
             with pytest.raises(ValidationError, match="out of range, ground set has 4 items"):
                 oracle.eval(items, near=near)
         assert oracle.eval_count == 0
-        # A rejected base leaves no kernel behind.
+        # A rejected base leaves no state behind.
         _assert_same_float(oracle.eval({0, 1}, near={0}), descriptor.value({0, 1}))
 
 
@@ -570,7 +589,7 @@ EXTREMES = (5e-324, 2.0**53, 0.1, M / 4)
 
 
 class TestExactTotals:
-    """Values and kernel moves over extreme and signed-zero weights are the
+    """Values and moves over extreme and signed-zero weights are the
     very floats of the fsum references in helpers.py."""
 
     @pytest.mark.parametrize(

@@ -2,16 +2,15 @@
 graph cut and modular, with every weight drawn from helpers.ADVERSARIAL_WEIGHTS.
 
 The seeded sweeps in test_functions.py and test_solver.py sample ordinary
-weights; here hypothesis searches the adversarial pool, n <= 7, for a kernel
-move that differs from a whole-set value, or a trim that loses value or keeps
-a member of a monotone function's set whose removal would raise it.  It also
-runs both solvers on instances of up to three such functions against
-helpers.ref_solve.
+weights; here hypothesis searches the adversarial pool, n <= 7, for a move
+that differs from a whole-set value, or a trim that loses value or keeps a
+member whose removal would raise it.  It also runs both solvers on instances
+of up to three such functions against helpers.ref_solve.
 """
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular, Oracle
@@ -87,15 +86,15 @@ def test_every_kernel_move_is_the_whole_set_value(case):
 
 @search
 @given(cases())
+# The star cut of test_solver.py::TestTrim::test_star_cut_keeps_no_harmful_member,
+# where a removal marginal rounds to 0 before a later removal.
+@example((4, GraphCut(((0, 3, 5e-324), (1, 3, 1.0), (2, 3, 2.0**53))), frozenset({0, 2, 3})))
 def test_trim_keeps_the_value_and_no_harmful_member(case):
     n, descriptor, B = case
     A = trim(Oracle(descriptor, n), B)
     value = descriptor.value
     assert value(A) >= value(B)
-    # A graph cut can keep one by rounding: see
-    # test_solver.py::TestTrim::test_star_cut_keeps_no_harmful_member.
-    if descriptor.monotone:
-        assert [x for x in sorted(A) if value(A) - value(A - {x}) < 0] == []
+    assert [x for x in sorted(A) if value(A) - value(A - {x}) < 0] == []
 
 
 @search

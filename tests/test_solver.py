@@ -71,15 +71,10 @@ class TestTrim:
         harmful = [x for x in sorted(kept) if value - oracle.eval(kept - {x}) < 0]
         assert harmful == []
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 7: trim tests {0, 2, 3} in one ascending pass of correctly "
-        "rounded values; it keeps 0, whose removal marginal -5e-324 rounds to 0, then "
-        "drops 2, after which that marginal rounds to -2.0. Trim decisions on exact "
-        "values (item 4) must turn this into a plain pass",
-    )
     def test_star_cut_keeps_no_harmful_member(self):
-        # Vertex 3 joins 0, 1 and 2 with weights 5e-324, 1.0 and 2**53.
+        # Vertex 3 joins 0, 1 and 2 with weights 5e-324, 1.0 and 2**53.  On
+        # rounded values alone, trim keeps 0, whose removal marginal -5e-324
+        # rounds to 0, then drops 2, after which that marginal rounds to -2.0.
         oracle = Oracle(GraphCut(((0, 3, 5e-324), (1, 3, 1.0), (2, 3, 2.0**53))), 4)
         kept = trim(oracle, {0, 2, 3})
         value = oracle.eval(kept)
