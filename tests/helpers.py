@@ -83,13 +83,64 @@ def ref_value(descriptor):
     return lambda A: ref_modular_value(descriptor.values, A)
 
 
+def ref_trim(descriptor, B, value=None):
+    """trim(Oracle(descriptor, n), B) transcribed from README "Algorithms":
+    one pass in ascending id order drops each member whose removal marginal
+    is negative.  A graph cut's float tie goes to exact Fraction cut totals,
+    which make no call.  ``value`` values a set (the ref_value of descriptor
+    by default)."""
+    value = ref_value(descriptor) if value is None else value
+
+    def exact_cut(A):
+        return sum(Fraction(w) for u, v, w in descriptor.edges if (u in A) + (v in A) == 1)
+
+    kept = set(B)
+    current = value(kept)
+    cut = isinstance(descriptor, GraphCut)
+    for x in sorted(B):
+        without = value(kept - {x})
+        if current - without < 0 or (
+            current == without and cut and exact_cut(kept - {x}) > exact_cut(kept)
+        ):
+            kept.discard(x)
+            current = without
+    return frozenset(kept)
+
+
+def ref_greedy(instance, S):
+    """evaluate_F_greedy(instance, S) transcribed from its docstring, every
+    set valued whole by ref_value: (value, witnesses, calls per function).
+
+    Per function: k rounds, each adding the item of S, in ascending id order,
+    with the largest strictly positive gain; a round with none ends it.
+    """
+    total, witnesses, calls = 0.0, [], []
+    for descriptor in instance.functions:
+        value = ref_value(descriptor)
+        A = frozenset()
+        current, count = value(A), 1
+        for _ in range(instance.k):
+            best_gain, best = 0.0, None
+            for x in sorted(set(S) - A):
+                val = value(A | {x})
+                count += 1
+                if val - current > best_gain:
+                    best_gain, best = val - current, (x, val)
+            if best is None:
+                break
+            A, current = A | {best[0]}, best[1]
+        witnesses.append(A)
+        calls.append(count)
+        total += current
+    return total, tuple(witnesses), calls
+
+
 def ref_solve(instance, seed):
     """sampling_greedy(instance, seed), or replacement_greedy(instance) for
     seed None, transcribed from README "Algorithms": (S, Ts, evals, rounds).
 
     Every set is valued whole by the ref_*_value functions and counted here,
-    with no oracle, memo or move state.  Trim breaks a graph cut's float ties
-    with exact Fraction cut totals.
+    with no oracle, memo or move state.  Trim is ref_trim.
     """
     n, k, l = instance.n, instance.k, instance.l
     rng = None if seed is None else random.Random(seed)
@@ -111,24 +162,6 @@ def ref_solve(instance, seed):
                 gain, after = g, candidate
         return gain, after
 
-    def exact_cut(i, A):
-        # Uncounted: a float tie in trim goes to the exact cut totals.
-        edges = instance.functions[i].edges
-        return sum(Fraction(w) for u, v, w in edges if (u in A) + (v in A) == 1)
-
-    def trim(i, B):
-        kept = set(B)
-        current = f(i, kept)
-        cut = isinstance(instance.functions[i], GraphCut)
-        for x in sorted(B):
-            without = f(i, kept - {x})
-            if current - without < 0 or (
-                current == without and cut and exact_cut(i, kept - {x}) > exact_cut(i, kept)
-            ):
-                kept.discard(x)
-                current = without
-        return frozenset(kept)
-
     S, Ts, rounds = set(), [frozenset()] * len(values), []
     for r in range(1, l + 1):
         unpicked = [x for x in range(n) if x not in S]
@@ -146,7 +179,9 @@ def ref_solve(instance, seed):
             S.add(x)
             for i, T in enumerate(Ts):
                 gain, after = best_move(i, T, x, f(i, T))
-                Ts[i] = trim(i, after) if gain > 0.0 else after
+                if gain > 0.0:
+                    after = ref_trim(instance.functions[i], after, lambda A: f(i, A))
+                Ts[i] = after
         rounds.append(RoundState(r, frozenset(S), tuple(Ts), calls))
     return frozenset(S), tuple(Ts), calls, rounds
 

@@ -3,21 +3,37 @@ graph cut and modular, with every weight drawn from helpers.ADVERSARIAL_WEIGHTS.
 
 The seeded sweeps in test_functions.py and test_solver.py sample ordinary
 weights; here hypothesis searches the adversarial pool, n <= 7, for a move
-that differs from a whole-set value, or a trim that loses value or keeps a
-member whose removal would raise it.  It also runs both solvers on instances
-of up to three such functions against helpers.ref_solve.
+that differs from a whole-set value, a trim that loses value, keeps a member
+whose removal would raise it or differs from helpers.ref_trim, and a pruned
+exact report that differs from full enumeration.  It also runs both solvers
+and the greedy reports on instances of up to three such functions against
+helpers.ref_solve and helpers.ref_greedy.
 """
 
 import itertools
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular, Oracle
 from twostage.instances import Instance
+from twostage.reference import (
+    _best_subset,
+    _exact_feasible,
+    _greedy_feasible,
+    evaluate_F_greedy,
+    exact_eval_cost,
+    random_baseline,
+)
 from twostage.solver import trim
 
-from helpers import ADVERSARIAL_WEIGHTS, assert_solves_like_reference
+from helpers import (
+    ADVERSARIAL_WEIGHTS,
+    assert_solves_like_reference,
+    ref_greedy,
+    ref_trim,
+)
 
 weights = st.sampled_from(ADVERSARIAL_WEIGHTS)
 
@@ -55,10 +71,17 @@ def descriptors(n: int):
 
 
 @st.composite
+def sized_descriptors(draw):
+    """(n, descriptor)"""
+    n = draw(st.integers(1, 7))
+    return n, draw(descriptors(n))
+
+
+@st.composite
 def cases(draw):
     """(n, descriptor, a subset of range(n))"""
-    n = draw(st.integers(1, 7))
-    return n, draw(descriptors(n)), draw(st.frozensets(st.integers(0, n - 1)))
+    n, descriptor = draw(sized_descriptors())
+    return n, descriptor, draw(st.frozensets(st.integers(0, n - 1)))
 
 
 @st.composite
@@ -95,6 +118,53 @@ def test_trim_keeps_the_value_and_no_harmful_member(case):
     value = descriptor.value
     assert value(A) >= value(B)
     assert [x for x in sorted(A) if value(A) - value(A - {x}) < 0] == []
+
+
+@search
+@given(cases())
+# Both {1, 2} and {0} are worth 3.0: an ascending pass keeps {1, 2}, a
+# descending one {0}.
+@example((3, GraphCut(((0, 1, 1.0), (0, 2, 2.0))), frozenset({0, 1, 2})))
+def test_trim_is_the_reference_trim(case):
+    n, descriptor, B = case
+    assert trim(Oracle(descriptor, n), B) == ref_trim(descriptor, B)
+
+
+@search
+@given(sized_descriptors())
+# Ties: item 0's column is all zero, items 1 and 2 have equal columns.
+@example((4, FacilityLocation(((0.0, 1.0, 1.0, 0.1), (0.0, 0.2, 0.2, 0.3)))))
+# Ties: items 0 and 1 cover the same elements, item 3 covers none.
+@example((4, Coverage((1.0, 1.0, 0.1), (frozenset({0, 1}),) * 2 + (frozenset({2}), frozenset()))))
+def test_pruned_exact_report_is_full_enumeration(case):
+    # Every S and every k up to |S|.  The memo makes repeated sets cheap; each
+    # call still counts.
+    n, descriptor = case
+    subsets = [c for j in range(n + 1) for c in itertools.combinations(range(n), j)]
+    value, memo = dict(zip(subsets, map(descriptor.value, subsets))), {}
+    for S in subsets:
+        for k in range(len(S) + 1):
+            oracle = Oracle(descriptor, n, memo)
+            witness, got = _exact_feasible(oracle, S, k)
+            want, tup = _best_subset(value.__getitem__, S, k)
+            assert (got.hex(), witness) == (want.hex(), frozenset(tup)), (S, k)
+            assert oracle.eval_count <= 2 * exact_eval_cost(len(S), k)
+            feasible = (c for j in range(k + 1) for c in itertools.combinations(S, j))
+            assert tup == min(feasible, key=lambda c: (-value[c], c)), (S, k)
+
+
+@search
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_greedy_reports_match_the_reference(instance, seed):
+    S = frozenset(random.Random(seed).sample(range(instance.n), instance.l))
+    want_value, want_witnesses, want_calls = ref_greedy(instance, S)
+    got = evaluate_F_greedy(instance, S)
+    assert (got.value.hex(), got.witness) == (want_value.hex(), want_witnesses)
+    for oracle, witness, calls in zip(instance.oracles(), want_witnesses, want_calls):
+        assert _greedy_feasible(oracle, S, instance.k)[0] == witness
+        assert oracle.eval_count == calls
+    baseline = random_baseline(instance, seed)
+    assert (baseline.S, baseline.Ts, baseline.evals) == (S, want_witnesses, sum(want_calls))
 
 
 @search

@@ -1,8 +1,10 @@
 """Reference-oracle tests: exact evaluation, brute force, baselines."""
 
+import gc
 import itertools
 import random
 import signal
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -48,6 +50,51 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+# (kind, seed, S, F(S).hex(), witnesses) on the benchmark's two scale shapes:
+# facility location (n=100, m=3, k=8, l=10) and mixed (n=100, m=5, k=5, l=10).
+# S is sampling_greedy(instance, seed).S.  The other instances in these tests
+# are too small for the pruned walk to skip much.  The floats are those of
+# Python 3.10 and 3.11: facility location sums with the builtin sum.
+SCALE_REPORTS = [
+    ("facility_location", 10000, (0, 12, 14, 17, 27, 38, 46, 57, 81, 85), "0x1.131e798f414c0p+8", (
+        (12, 14, 27, 38, 46, 57, 81, 85),
+        (0, 17, 27, 38, 46, 57, 81, 85),
+        (0, 12, 14, 27, 38, 46, 57, 85),
+    )),
+    ("facility_location", 10001, (10, 13, 15, 24, 41, 44, 70, 80, 83, 98), "0x1.138a67cb6556ep+8", (
+        (10, 13, 41, 44, 70, 80, 83, 98),
+        (10, 13, 15, 24, 41, 44, 80, 98),
+        (10, 13, 15, 24, 41, 80, 83, 98),
+    )),
+    ("facility_location", 10002, (0, 2, 9, 22, 32, 33, 59, 68, 92, 93), "0x1.1333e90234d1cp+8", (
+        (0, 9, 22, 32, 33, 59, 92, 93),
+        (0, 2, 9, 32, 33, 59, 92, 93),
+        (0, 9, 22, 32, 33, 68, 92, 93),
+    )),
+    ("mixed", 10000, (13, 21, 23, 27, 38, 42, 46, 65, 82, 92), "0x1.49d80303b2bd7p+9", (
+        (13, 21, 27, 65, 82),
+        (13, 21, 27, 38, 65),
+        (13, 23, 27, 38, 42),
+        (21, 23, 46, 82, 92),
+        (13, 23, 38, 42, 92),
+    )),
+    ("mixed", 10001, (13, 16, 18, 24, 37, 41, 55, 57, 87, 90), "0x1.4dce04d1a2faep+9", (
+        (13, 16, 24, 41, 55),
+        (13, 16, 24, 57, 87),
+        (13, 16, 18, 37, 57),
+        (13, 16, 37, 87, 90),
+        (13, 16, 41, 55, 87),
+    )),
+    ("mixed", 10002, (6, 7, 28, 35, 61, 67, 73, 74, 91, 96), "0x1.4b78ec8952475p+9", (
+        (6, 67, 73, 74, 91),
+        (28, 61, 73, 74, 91),
+        (7, 28, 61, 67, 91),
+        (6, 7, 28, 73, 96),
+        (28, 35, 67, 73, 96),
+    )),
+]
+
+
 class TestEvaluateFExact:
     def test_coverage_best_single_item(self):
         result = evaluate_F_exact(zoo_instance(), {0, 1})
@@ -84,6 +131,17 @@ class TestEvaluateFExact:
         instance = Instance(15000, k, 1, (GraphCut(()),))
         with deadline(1.0), pytest.raises(GuardExceededError, match="use evaluate_F_greedy"):
             evaluate_F_exact(instance, range(15000))
+
+    @pytest.mark.parametrize(
+        "kind, seed, S, value, witnesses", SCALE_REPORTS,
+        ids=[f"{kind}-{seed}" for kind, seed, *_ in SCALE_REPORTS],
+    )
+    def test_scale_reports(self, kind, seed, S, value, witnesses):
+        m, k = (3, 8) if kind == "facility_location" else (5, 5)
+        instance = generate_instance(kind, 100, m, k, 10, seed=seed)
+        result = evaluate_F_exact(instance, S)
+        assert result.value.hex() == value
+        assert result.witness == tuple(map(frozenset, witnesses))
 
     @pytest.mark.parametrize("reporter", [evaluate_F_exact, evaluate_F_greedy])
     def test_witness_replay_reproduces_value(self, reporter):
@@ -168,6 +226,25 @@ class TestBruteForceOptimum:
         instance = generate_instance("graph_cut", 6, 2, 2, 3, seed=11)
         result = brute_force_optimum(instance)
         assert evaluate_F_exact(instance, result.witness).value == result.value
+
+
+class TestBestSubset:
+    def test_walk_leaves_no_reference_cycle(self):
+        # brute_force_optimum's value holds its tables: a cycle through it
+        # would keep them until the cyclic collector runs.
+        class Size:
+            def __call__(self, subset):
+                return float(len(subset))
+
+        value = Size()
+        alive = weakref.ref(value)
+        gc.disable()
+        try:
+            assert _best_subset(value, range(5), 3, value) == (3.0, (0, 1, 2))
+            del value
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 def _adversarial_instances():

@@ -71,6 +71,14 @@ class TestTrim:
         harmful = [x for x in sorted(kept) if value - oracle.eval(kept - {x}) < 0]
         assert harmful == []
 
+    def test_members_are_tested_in_ascending_order(self):
+        # {1, 2} and {0} are both worth 3.0, and {0, 1, 2} is worth 0.
+        # Ascending, dropping 0 raises the value to 3.0, and then neither 1 nor
+        # 2 may go.  Descending would drop 2 (to 2.0), then 1 (to 3.0), and
+        # keep {0}.
+        oracle = Oracle(GraphCut(((0, 1, 1.0), (0, 2, 2.0))), 3)
+        assert trim(oracle, {0, 1, 2}) == {1, 2}
+
     def test_star_cut_keeps_no_harmful_member(self):
         # Vertex 3 joins 0, 1 and 2 with weights 5e-324, 1.0 and 2**53.  On
         # rounded values alone, trim keeps 0, whose removal marginal -5e-324
