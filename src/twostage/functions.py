@@ -101,7 +101,7 @@ class _Summed:
     def _check_total(self, label: str, state: object) -> None:
         # No value exceeds the total of this state, summed by the kind's own
         # rule, so a finite total keeps every value() call finite.  An int
-        # total raises where the builtin sum returns inf.
+        # total raises where a float sum returns inf.
         try:
             finite = math.isfinite(self._total(state))
         except OverflowError:
@@ -227,8 +227,10 @@ class FacilityLocation(_Summed):
     item, value is the sum over clients.  ``similarity[c][x]`` is the affinity
     of client ``c`` for item ``x``; an empty selection serves nobody.
 
-    A value costs one C-level item getter and ``max`` per client, summed
-    with the builtin ``sum`` in client order.
+    A value costs one C-level item getter and ``max`` per client, added
+    left to right from 0.0 in client order by a plain loop: the builtin
+    ``sum`` of floats is compensated from Python 3.12, which would make the
+    value depend on the interpreter.
     """
 
     similarity: tuple[tuple[float, ...], ...]
@@ -280,12 +282,19 @@ class FacilityLocation(_Summed):
 
     def _join(self, best: tuple[float, ...], x: int) -> float:
         # Each client's maximum is the one _state takes over the moved set, up
-        # to the sign of a zero, which the sum from 0.0 erases, so a move sums
+        # to the sign of a zero, which adding to 0.0 erases, so a move adds
         # the same floats in the same client order as value().
-        return sum([r[x] if r[x] > m else m for m, r in zip(best, self.similarity)], 0.0)
+        total = 0.0
+        for m, r in zip(best, self.similarity):
+            s = r[x]
+            total += s if s > m else m
+        return total
 
     def _total(self, best: Iterable[float]) -> float:
-        return sum(best, 0.0)
+        total = 0.0
+        for m in best:
+            total += m
+        return total
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,6 @@ __all__ = [
 # this; the pruned walk makes fewer than twice as many calls per function.
 EXACT_EVAL_GUARD = 10**6
 BRUTE_FORCE_GUARD = 10**7
-# Entries, over all functions, past which brute_force_optimum values each S
-# with evaluate_F_exact instead of tabulating (about 7 MB of 3-item keys).
-_TABLE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ def _walk(
     members from ``members[start]`` on; ``best`` is [value, subset] so far.
 
     A plain function, not a closure: a closure that calls itself is a
-    reference cycle, which would keep ``value`` (and the tables it may hold)
+    reference cycle, which would keep ``value`` (and the memos it may hold)
     alive until the cyclic garbage collector runs.
     """
     n = len(members)
@@ -153,9 +150,8 @@ def _exact_feasible(
     A monotone function is its own bound on the walk (see _best_subset).  The
     bound holds in floats: coverage and modular values are correctly rounded
     totals, and facility location adds non-negative per-client maxima, each
-    of which grows with the set, left to right on Python 3.10 and 3.11, where
-    float addition is monotone.  The builtin sum is compensated from 3.12; a
-    search found no monotonicity violation there, but none is proven.
+    of which grows with the set, left to right from 0.0, and rounded float
+    addition is monotone.
     """
     bound = oracle.eval if oracle.descriptor.monotone else None
     val, tup = _best_subset(oracle.eval, members, k, bound)
@@ -219,43 +215,29 @@ def evaluate_F_greedy(instance: Instance, S: Iterable[int]) -> ExactResult:
     return _summed(_greedy_feasible(o, S, instance.k) for o in instance.oracles())
 
 
-def _tabulated_F(instance: Instance) -> Callable[[tuple[int, ...]], float]:
-    """F on reduced sets of at most l items, read from per-function tables of
-    the subsets of size <= min(k, l).  Each function's maximum over the
-    subsets of S is one of its values, whatever the order, and the sum runs
-    in function order, so F(S) is the float evaluate_F_exact returns."""
-    k = min(instance.k, instance.l)
-    tables = [
-        {c: o.eval(frozenset(c)) for j in range(k + 1)
-         for c in itertools.combinations(range(instance.n), j)}
-        for o in instance.oracles()
-    ]
-
-    def value(S: tuple[int, ...]) -> float:
-        subsets = [c for j in range(min(k, len(S)) + 1) for c in itertools.combinations(S, j)]
-        total = 0.0
-        for table in tables:
-            total += max(map(table.__getitem__, subsets))
-        return total
-
-    return value
-
-
 def brute_force_optimum(instance: Instance) -> ExactResult:
     """Optimal reduced set by enumerating every S with |S| <= l.
 
-    Ties resolve to the lexicographically smallest S.  Values come from
-    tabulated functions (_tabulated_F) while the tables fit in _TABLE_LIMIT
-    entries, and from evaluate_F_exact past it; both give the same floats.
+    Ties resolve to the lexicographically smallest S.  Each function has one
+    memoised oracle for the whole search, and F(S) sums, in function order,
+    each function's maximum over the subsets of S with at most k items: one
+    of its values, whatever the order, so the float evaluate_F_exact returns.
     """
     if _exceeds(_brute_force_terms(instance), BRUTE_FORCE_GUARD):
         raise GuardExceededError(
             f"brute-force optimum needs more than {BRUTE_FORCE_GUARD} oracle calls"
         )
-    if instance.m * exact_eval_cost(instance.n, min(instance.k, instance.l)) <= _TABLE_LIMIT:
-        value = _tabulated_F(instance)
-    else:
-        value = lambda S: evaluate_F_exact(instance, S).value
+    k = instance.k
+    oracles = instance.oracles([{} for _ in instance.functions])
+
+    def value(S: tuple[int, ...]) -> float:
+        subsets = [frozenset(c) for j in range(min(k, len(S)) + 1)
+                   for c in itertools.combinations(S, j)]
+        total = 0.0
+        for oracle in oracles:
+            total += max(map(oracle.eval, subsets))
+        return total
+
     best_val, best_tup = _best_subset(value, range(instance.n), instance.l)
     return ExactResult(best_val, frozenset(best_tup))
 

@@ -8,6 +8,7 @@ evidence rather than tautology.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -133,6 +134,31 @@ def ref_greedy(instance, S):
         calls.append(count)
         total += current
     return total, tuple(witnesses), calls
+
+
+def ref_brute_force(instance):
+    """brute_force_optimum(instance) transcribed from its definition:
+    (value, S), every set valued whole by ref_value.
+
+    Every S with |S| <= l, in lexicographic order of its sorted items; F(S)
+    sums, in function order, each function's max over the subsets of S with
+    at most k items; the first maximum wins.
+    """
+    values = [ref_value(d) for d in instance.functions]
+    candidates = sorted(
+        S for size in range(instance.l + 1)
+        for S in itertools.combinations(range(instance.n), size)
+    )
+    best = None
+    for S in candidates:
+        subsets = [A for j in range(min(instance.k, len(S)) + 1)
+                   for A in itertools.combinations(S, j)]
+        total = 0.0
+        for value in values:
+            total += max(value(A) for A in subsets)
+        if best is None or total > best[0]:
+            best = (total, frozenset(S))
+    return best
 
 
 def ref_solve(instance, seed):

@@ -7,7 +7,10 @@ that differs from a whole-set value, a trim that loses value, keeps a member
 whose removal would raise it or differs from helpers.ref_trim, and a pruned
 exact report that differs from full enumeration.  It also runs both solvers
 and the greedy reports on instances of up to three such functions against
-helpers.ref_solve and helpers.ref_greedy.
+helpers.ref_solve and helpers.ref_greedy, brute force against
+helpers.ref_brute_force, local_gain against helpers.expected_local_gain, and
+checks that each solver's feasible sets stay below the exact report of its S,
+whose witnesses replay to its value.
 """
 
 import itertools
@@ -18,19 +21,24 @@ from hypothesis import strategies as st
 
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular, Oracle
 from twostage.instances import Instance
+from twostage.local_search import local_gain
 from twostage.reference import (
     _best_subset,
     _exact_feasible,
     _greedy_feasible,
+    brute_force_optimum,
+    evaluate_F_exact,
     evaluate_F_greedy,
     exact_eval_cost,
     random_baseline,
 )
-from twostage.solver import trim
+from twostage.solver import feasible_sets_value, replacement_greedy, sampling_greedy, trim
 
 from helpers import (
     ADVERSARIAL_WEIGHTS,
     assert_solves_like_reference,
+    expected_local_gain,
+    ref_brute_force,
     ref_greedy,
     ref_trim,
 )
@@ -172,3 +180,40 @@ def test_greedy_reports_match_the_reference(instance, seed):
 def test_solvers_match_the_reference_solver(instance, seed):
     # seed None runs replacement_greedy.
     assert_solves_like_reference(instance, seed)
+
+
+@search
+@given(cases())
+def test_local_gain_is_the_exhaustive_reference(case):
+    n, descriptor, A = case
+    for x in range(n):
+        for k in range(len(A), n + 1):
+            got = local_gain(Oracle(descriptor, n), x, A, k)
+            gain, after = expected_local_gain(descriptor, x, A, k)
+            assert (got.gain.hex(), got.after) == (gain.hex(), after), (x, k)
+
+
+@search
+@given(instances(), st.none() | st.integers(0, 2**32 - 1))
+def test_feasible_sets_stay_below_the_exact_report(instance, seed):
+    # seed None runs replacement_greedy.
+    if seed is None:
+        solution = replacement_greedy(instance)
+    else:
+        solution = sampling_greedy(instance, seed)
+    S = solution.S
+    report = evaluate_F_exact(instance, S)
+    assert feasible_sets_value(instance, solution.Ts) <= report.value
+    replay = 0.0
+    for descriptor, witness in zip(instance.functions, report.witness, strict=True):
+        assert witness <= S and len(witness) <= instance.k
+        replay += descriptor.value(witness)
+    assert replay.hex() == report.value.hex()
+
+
+@search
+@given(instances())
+def test_brute_force_is_the_reference_brute_force(instance):
+    got = brute_force_optimum(instance)
+    value, S = ref_brute_force(instance)
+    assert (got.value.hex(), got.witness) == (value.hex(), S)

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from twostage import reference
 from twostage.exceptions import GuardExceededError, ValidationError
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular
 from twostage.instances import GENERATOR_KINDS, Instance, generate_instance
@@ -53,8 +52,8 @@ def deadline(seconds):
 # (kind, seed, S, F(S).hex(), witnesses) on the benchmark's two scale shapes:
 # facility location (n=100, m=3, k=8, l=10) and mixed (n=100, m=5, k=5, l=10).
 # S is sampling_greedy(instance, seed).S.  The other instances in these tests
-# are too small for the pruned walk to skip much.  The floats are those of
-# Python 3.10 and 3.11: facility location sums with the builtin sum.
+# are too small for the pruned walk to skip much.  Facility location adds
+# left to right, so the floats are the same on every supported Python.
 SCALE_REPORTS = [
     ("facility_location", 10000, (0, 12, 14, 17, 27, 38, 46, 57, 81, 85), "0x1.131e798f414c0p+8", (
         (12, 14, 27, 38, 46, 57, 81, 85),
@@ -230,8 +229,8 @@ class TestBruteForceOptimum:
 
 class TestBestSubset:
     def test_walk_leaves_no_reference_cycle(self):
-        # brute_force_optimum's value holds its tables: a cycle through it
-        # would keep them until the cyclic collector runs.
+        # brute_force_optimum's value holds its oracles and their memos: a
+        # cycle through it would keep them until the cyclic collector runs.
         class Size:
             def __call__(self, subset):
                 return float(len(subset))
@@ -272,8 +271,9 @@ def _adversarial_instances():
 
 
 class TestTabulatedBruteForce:
-    """brute_force_optimum reads F(S) from per-function tables; it must give
-    the float and the witness of enumerating evaluate_F_exact over every S."""
+    """brute_force_optimum reads each function's values from one memo (a
+    table of set -> value) for the whole search; it must give the float and
+    the witness of enumerating evaluate_F_exact over every S."""
 
     @staticmethod
     def _check(instance) -> None:
@@ -305,21 +305,24 @@ class TestTabulatedBruteForce:
         for instance in _adversarial_instances():
             self._check(instance)
 
-    def test_tables_past_the_limit_give_way_to_exact_evaluation(self, monkeypatch):
-        instance = generate_instance("mixed", 6, 2, 2, 3, seed=4)
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_sets_past_the_memo_cap_are_valued_afresh(self, kind, monkeypatch):
+        # 22 subsets of at most 2 of 6 items per function, against a cap of 3.
+        instance = generate_instance(kind, 6, 3, 2, 3, seed=4)
         want = brute_force_optimum(instance)
-        entries = instance.m * exact_eval_cost(instance.n, 2)
+        memos, build = [], Instance.oracles
 
-        def no_tables(instance):
-            raise AssertionError("tabulated past the limit")
+        def recording(self, given=None):
+            memos.extend(given or ())
+            return build(self, given)
 
-        monkeypatch.setattr(reference, "_tabulated_F", no_tables)
-        monkeypatch.setattr(reference, "_TABLE_LIMIT", entries - 1)
+        monkeypatch.setattr(Instance, "oracles", recording)
+        monkeypatch.setattr("twostage.functions._MEMO_LIMIT", 3)
         got = brute_force_optimum(instance)
-        assert got == want and got.value.hex() == want.value.hex()
-        monkeypatch.setattr(reference, "_TABLE_LIMIT", entries)
-        with pytest.raises(AssertionError, match="tabulated past the limit"):
-            brute_force_optimum(instance)
+        assert (got.value.hex(), got.witness) == (want.value.hex(), want.witness)
+        # One memo per function for the whole search, each held at the cap.
+        assert [len(memo) for memo in memos] == [3] * instance.m
+        self._check(instance)
 
 
 class TestReplacementGreedy:
