@@ -87,9 +87,10 @@ def _is_list(x: object, of: tuple[type, ...] | None = None) -> bool:
 class _Summed:
     """The value of every kind: a set's state, summed.
 
-    A kind gives three hooks: ``_state(items)``, what a set contributes
-    (ids outside 0 .. n-1 contribute nothing); ``_join(state, x)``, the value
-    of that state with item x added; and ``_total(state)``, the value of a
+    A kind gives four hooks: ``_state(items)``, what a set contributes
+    (ids outside 0 .. n-1 contribute nothing); ``_grow(state, x)``, the state
+    of that set with item x added; ``_join(state, x)``, the value of that
+    grown state, without building it; and ``_total(state)``, the value of a
     state.  ``value`` totals a set's state, and Oracle values a move from a
     base T as the state of T or of T - y joined with x, so both give the same
     float.
@@ -112,15 +113,16 @@ class _Summed:
 
 class _AtomSum(_Summed):
     """The state of coverage, graph cut and modular: a set of atoms and the
-    exact total of their weights.  The atoms are the universe elements a set
-    covers, the edges it cuts, or its own items.
+    exact total of their weights (``_exact``).  The atoms are the universe
+    elements a set covers, the edges it cuts, or its own items.
 
     A kind gives item x's atoms (``_atoms_of(x)``, none for an id outside
     0 .. n-1).  A set's atoms join those of its members: a union, or for graph
     cut (``_toggle``) a symmetric difference, which keeps the edges with
-    exactly one end in the set.  ``_join`` adds to the total only the atoms x
-    brings that the state lacks, so coverage and modular give frozensets;
-    graph cut overrides it with a toggle.
+    exactly one end in the set.  ``_gain`` is the exact int that x adds to a
+    state's total: the weights of the atoms x brings that the state lacks,
+    so coverage and modular give frozensets; graph cut overrides it with a
+    toggle.  ``_join`` and ``_grow`` add that gain to the total.
 
     Each weight is held as an exact integer multiple of ``1 / _scale``
     (``_ints``), where ``_scale`` is 2**s for the largest binary exponent s
@@ -160,10 +162,21 @@ class _AtomSum(_Summed):
         # past the largest float.
         return state[1] / self._scale
 
-    def _join(self, state: tuple[set[int], int], x: int) -> float:
-        atoms, total = state
+    def _exact(self, state: tuple[Collection[int], int]) -> int:
+        """The state's total as an exact int multiple of ``1 / _scale``."""
+        return state[1]
+
+    def _gain(self, state: tuple[set[int], int], x: int) -> int:
         ints = self._ints
-        return (total + sum([ints[u] for u in self._atoms_of(x).difference(atoms)])) / self._scale
+        return sum([ints[u] for u in self._atoms_of(x).difference(state[0])])
+
+    def _join(self, state: tuple[set[int], int], x: int) -> float:
+        return (state[1] + self._gain(state, x)) / self._scale
+
+    def _grow(self, state: tuple[set[int], int], x: int) -> tuple[set[int], int]:
+        atoms, total = state
+        new = atoms.symmetric_difference if self._toggle else atoms.union
+        return new(self._atoms_of(x)), total + self._gain(state, x)
 
 
 @dataclass(frozen=True)
@@ -280,10 +293,14 @@ class FacilityLocation(_Summed):
             return tuple(map(itemgetter(*ids), rows))
         return tuple(map(max, map(itemgetter(*ids), rows)))
 
+    def _grow(self, best: tuple[float, ...], x: int) -> tuple[float, ...]:
+        return tuple([s if s > m else m for m, s in zip(best, map(itemgetter(x), self.similarity))])
+
     def _join(self, best: tuple[float, ...], x: int) -> float:
         # Each client's maximum is the one _state takes over the moved set, up
         # to the sign of a zero, which adding to 0.0 erases, so a move adds
-        # the same floats in the same client order as value().
+        # the same floats in the same client order as value().  The same
+        # holds for a state _grow built.
         total = 0.0
         for m, r in zip(best, self.similarity):
             s = r[x]
@@ -349,13 +366,11 @@ class GraphCut(_AtomSum):
         # Ids outside 0 .. n-1 are never endpoints.
         return self._incident.get(x, ())
 
-    def _join(self, state: tuple[set[int], int], x: int) -> float:
+    def _gain(self, state: tuple[set[int], int], x: int) -> int:
         # Each of x's edges toggles: one already cut leaves the cut, any other
         # enters it.
-        atoms, total = state
-        ints = self._ints
-        toggled = [-ints[e] if e in atoms else ints[e] for e in self._atoms_of(x)]
-        return (total + sum(toggled)) / self._scale
+        atoms, ints = state[0], self._ints
+        return sum([-ints[e] if e in atoms else ints[e] for e in self._atoms_of(x)])
 
 
 @dataclass(frozen=True)
@@ -397,6 +412,12 @@ ValueMemo = dict[frozenset[int], float]
 # few sets repeat anyway.
 _MEMO_LIMIT = 1 << 12
 
+# Oracle grows a base's state from a kept base that lacks at most this many of
+# its items, and builds it whole otherwise.  A grow per missing item costs a
+# fraction of a whole state only while few are missing, and the first bound
+# set below a node of a report's walk holds two items more than the node.
+_GROW_LIMIT = 2
+
 
 class Oracle:
     """Evaluation oracle for one descriptor over the ground set ``0 .. n-1``.
@@ -417,13 +438,16 @@ class Oracle:
     ``eval(items, near=base)`` values a set that is base plus one id x, or
     base plus x minus one member y, as the descriptor's state of base, or of
     base - y, joined with x (see ``_Summed``): the same float as a whole-set
-    value, at a fraction of its cost.  For the last base it was given, the
-    oracle keeps each state it built, that of base under the key None and
-    that of base - y under y, and drops them all when another base arrives,
-    so a scoring pass against one feasible set builds each state once.
+    value, at a fraction of its cost.  The oracle keeps the state of every
+    base (base or base - y) it used that the newest base contains, and drops
+    the others when a new base arrives: in a report's walk these are the
+    newest base's ancestors, in a solve the states of the current feasible
+    set T and of each T - y.  A base it lacks is grown (``_grow``) from the
+    largest kept base inside it, when that lacks at most ``_GROW_LIMIT`` of
+    its items, and built whole otherwise.
     """
 
-    __slots__ = ("descriptor", "n", "_count", "_memo", "_near", "_states")
+    __slots__ = ("descriptor", "n", "_count", "_memo", "_base", "_kept", "_moves")
 
     def __init__(
         self,
@@ -437,8 +461,11 @@ class Oracle:
         self.n = n
         self._count = 0
         self._memo = memo
-        self._near: frozenset[int] | None = None
-        self._states: dict[int | None, object] = {}
+        self._base: frozenset[int] | None = None
+        self._kept: dict[frozenset[int], object] = {}
+        # The newest base's states in _kept, by the member a swap removes
+        # (None for the base itself).
+        self._moves: dict[int | None, object] = {}
 
     @property
     def eval_count(self) -> int:
@@ -468,8 +495,8 @@ class Oracle:
         return value
 
     def _move_value(self, items: frozenset[int], near: frozenset[int]) -> float | None:
-        """f(items) from a state of near, or None when items is not one move
-        from near."""
+        """f(items) from a state of near or of near - y, or None when items is
+        not one move from near."""
         added = items - near
         if len(added) != 1:
             return None
@@ -480,16 +507,37 @@ class Oracle:
             (y,) = near - items
         else:
             return None
-        self._check_ids(added)
-        if near is not self._near and near != self._near:
-            self._check_ids(near)
-            self._near, self._states = near, {}
-        descriptor, states = self.descriptor, self._states
-        state = states.get(y)
-        if state is None:
-            state = states[y] = descriptor._state(near if y is None else near - {y})
         (x,) = added
-        return descriptor._join(state, x)
+        if not 0 <= x < self.n:
+            self._check_ids(added)
+        state = self._moves.get(y) if near is self._base else None
+        if state is None:
+            state = self._state_of(near, y)
+        return self.descriptor._join(state, x)
+
+    def _state_of(self, near: frozenset[int], y: int | None = None) -> object:
+        """The descriptor's state of near, or of near - y, with near as the
+        newest base.  Reads no value and counts no call."""
+        if near is not self._base and near != self._base:
+            self._check_ids(near)
+            self._base, self._moves = near, {}
+            self._kept = {b: s for b, s in self._kept.items() if b <= near}
+        state = self._moves.get(y)
+        if state is None:
+            base = near if y is None else near - {y}
+            kept = self._kept
+            state = kept.get(base)
+            if state is None:
+                below = max((b for b in kept if b <= base), key=len, default=None)
+                if below is None or len(base) - len(below) > _GROW_LIMIT:
+                    state = self.descriptor._state(base)
+                else:
+                    state = kept[below]
+                    for z in base - below:
+                        state = self.descriptor._grow(state, z)
+                kept[base] = state
+            self._moves[y] = state
+        return state
 
     def _check_ids(self, items: Iterable[int]) -> None:
         n = self.n

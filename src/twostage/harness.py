@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+import math
 import statistics
 import time
 from dataclasses import dataclass, fields
@@ -211,6 +212,42 @@ def _row(**columns: object) -> list[str]:
     return [_cell(columns.get(name)) for name in CSV_HEADER]
 
 
+def _sqrt(p: int, r: int) -> float:
+    """The square root of p / r >= 0, correctly rounded.
+
+    With p / r scaled by 4**e, isqrt gives floor(sqrt(p / r) * 2**e), an int
+    of at least 55 bits for a positive p.  Setting its last bit when it is
+    inexact rounds it to odd, and an int that wide, rounded to odd, rounds
+    to the float nearest sqrt(p / r) once it is scaled back by 2**e.
+    """
+    e = (111 - p.bit_length() + r.bit_length()) // 2 + 1
+    if e >= 0:
+        p <<= 2 * e
+    else:
+        r <<= -2 * e
+    root = math.isqrt(p // r)
+    root |= root * root * r != p
+    return root / (1 << e) if e >= 0 else float(root << -e)
+
+
+def _stdev(values: Sequence[float]) -> float:
+    """Sample standard deviation, 0.0 for fewer than two values.
+
+    The correctly rounded square root of the exact sample variance, so the
+    same float on every Python (statistics.stdev gives it from 3.11 on).
+    Each float is an exact int multiple of 1 / scale, the largest of their
+    power-of-two denominators, so the variance is a ratio of ints.
+    """
+    n = len(values)
+    if n < 2:
+        return 0.0
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max([q for _, q in ratios])
+    ints = [p * (scale // q) for p, q in ratios]
+    total = sum(ints)
+    return _sqrt(n * sum([a * a for a in ints]) - total * total, n * (n - 1) * scale * scale)
+
+
 def write_csv(records: Iterable[TrialRecord], fp: TextIO) -> None:
     """Write the fixed-schema CSV: one row per trial, floats at 12 significant
     digits, then per-(instance, algorithm) mean and stddev rows at the end.
@@ -228,9 +265,7 @@ def write_csv(records: Iterable[TrialRecord], fp: TextIO) -> None:
         values = [r.F_reported for r in group]
         ratios = [r.ratio for r in group]
         have_ratio = None not in ratios
-        # stdev needs two samples; a lone trial has no spread.
-        spread = statistics.stdev if len(group) > 1 else lambda xs: 0.0
-        for label, stat in (("mean", statistics.fmean), ("stddev", spread)):
+        for label, stat in (("mean", statistics.fmean), ("stddev", _stdev)):
             writer.writerow(_row(
                 instance_id=instance_id,
                 algorithm=algorithm,

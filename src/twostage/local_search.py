@@ -38,34 +38,27 @@ class ScoredItem(NamedTuple):
     total_score: float
 
 
-def local_gain(
-    f: Oracle, x: int, A: Iterable[int], k: int, base: float | None = None
-) -> GainAction:
+def local_gain(f: Oracle, x: int, A: Iterable[int], k: int) -> GainAction:
     """Best-move gain of x against A under the cardinality budget k.
 
     Returns the exact max of zero, the best swap gain over members of A, and
     (when |A| < k) the direct-add gain, with the set that move produces.
     Swaps are evaluated in ascending victim id, then the add; victim ties
     resolve to the smallest id, and an add must strictly beat the best swap.
-    ``base`` may supply a cached f(A) to save one evaluation; semantics are
-    unchanged.  Each move is valued with A as ``near``, so the oracle prices
-    it from the states it keeps for A (see Oracle); every move is still one
-    counted call.
+    Each move is valued with A as ``near``, so the oracle prices it from the
+    states it keeps for A (see Oracle); every move is still one counted call.
     """
     current = frozenset(A)
     if len(current) > k:
         raise ValidationError(f"feasible set has {len(current)} items, budget k={k}")
     if x in current:
         return GainAction(0.0, current)
-    if base is None:
-        base = f.eval(current)
+    base = f.eval(current)
 
     # Only strict improvements replace the running best, so the first victim
     # in ascending order wins a swap tie and an add must beat every swap.
     gain, after = 0.0, current
     with_x = current | {x}
-    # near goes by position: within an experiment run most moves are memo
-    # hits, and a keyword argument adds about a fifth to the cost of each.
     for y in sorted(current):
         candidate = with_x - {y}
         g = f.eval(candidate, current) - base
@@ -86,22 +79,41 @@ def score_items(
 ) -> list[ScoredItem]:
     """Total local-search gain of every universe item against the current sets.
 
-    The score of x is the sum over functions of local_gain(f_i, x, T_i, k);
-    each f_i(T_i) is evaluated once and reused across items, so one x costs at
-    most |T_i| + 1 evaluations per function.  Output is in ascending item
-    order, one entry per universe item.
+    The score of x is the sum, in function order, of the gains
+    local_gain(f_i, x, T_i, k) gives.  One pass per function values every
+    item's moves against T_i: f_i(T_i) once, then per item outside T_i its
+    |T_i| swaps and, when |T_i| < k, its add, each one call from the states
+    the oracle keeps for T_i.  Output is in ascending item order, one entry
+    per universe item.
     """
     if len(fs) != len(Ts):
         raise ValidationError(f"fs and Ts length mismatch: {len(fs)} vs {len(Ts)}")
     sets = [frozenset(T) for T in Ts]
     bases = [f.eval(T) for f, T in zip(fs, sets)]
-    out = []
-    for x in sorted(universe):
-        total = 0.0
-        for f, T, base in zip(fs, sets, bases):
-            total += local_gain(f, x, T, k, base=base).gain
-        out.append(ScoredItem(x, total))
-    return out
+    items = sorted(universe)
+    for T in sets if items else ():
+        if len(T) > k:
+            raise ValidationError(f"feasible set has {len(T)} items, budget k={k}")
+    totals = [0.0] * len(items)
+    for f, T, base in zip(fs, sets, bases):
+        members, room, value = sorted(T), len(T) < k, f.eval
+        for j, x in enumerate(items):
+            if x in T:
+                continue
+            # near goes by position: within an experiment run most moves are
+            # memo hits, and a keyword argument adds about a fifth to the
+            # cost of each.
+            gain, with_x = 0.0, T | {x}
+            for y in members:
+                g = value(with_x - {y}, T) - base
+                if g > gain:
+                    gain = g
+            if room:
+                g = value(with_x, T) - base
+                if g > gain:
+                    gain = g
+            totals[j] += gain
+    return [ScoredItem(x, total) for x, total in zip(items, totals)]
 
 
 def select_top_l(scores: Sequence[ScoredItem], l: int) -> frozenset[int]:

@@ -10,6 +10,8 @@ greedy surrogate scales instead.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import random
@@ -80,56 +82,118 @@ def brute_force_cost(instance: Instance) -> int:
 
 
 def _best_subset(
-    value: Callable[[tuple[int, ...]], float],
+    value: Callable[[list[tuple[int, ...]], tuple[int, ...] | None], list[float]],
     members: Sequence[int],
     max_size: int,
-    bound: Callable[[tuple[int, ...]], float] | None = None,
+    bound: Callable[[tuple[int, ...], list[tuple[int, ...]]], list[float]] | None = None,
 ) -> tuple[float, tuple[int, ...]]:
     """Max value over the subsets of the ascending ``members`` with at most
     ``max_size`` items, ties to the lexicographically smallest tuple.
 
-    One depth-first walk in preorder, which over ascending members is
-    lexicographic order, so the first maximum found is the one returned.
-    With ``bound``, a function no smaller than ``value`` on any subset of its
-    argument, the walk skips the subsets that extend a prefix c ending at
-    ``members[i]`` when ``bound(c + members[i + 1:]) <= best``: none of them
-    can beat the best so far, and each is lexicographically later than it.
-    A prefix with one later member values that one extension instead, at the
-    same cost.  So the walk makes at most one bound call per subset it values.
+    ``value(subsets, parent)`` returns the values of a list of subsets: the
+    empty set alone with parent None, or the children of parent, each parent
+    plus one later member.  A depth-first walk values all the children of a
+    node together, then visits them in order.  With ``bound``, the walk asks
+    ``bound(parent, children)``, once per node whose children have
+    children, for one float per child but the last: no less than the value
+    of any subset below that child, which adds later members to it.  It
+    skips the subsets below a child whose bound is less than the best so
+    far, or equal to it with a best that precedes the child: none of them can
+    beat the best, and each is lexicographically later than the child.
     """
     members = tuple(members)
-    best = [value(()), ()]
+    best = [value([()], None)[0], ()]
     if max_size > 0:
-        _walk(value, bound, members, max_size, (), 0, best)
+        _walk(value, bound, members, max_size, (), best)
     return best[0], best[1]
 
 
 def _walk(
-    value: Callable[[tuple[int, ...]], float],
-    bound: Callable[[tuple[int, ...]], float] | None,
+    value: Callable,
+    bound: Callable | None,
     members: tuple[int, ...],
     max_size: int,
-    prefix: tuple[int, ...],
-    start: int,
+    parent: tuple[int, ...],
     best: list,
 ) -> None:
-    """The walk of _best_subset below ``prefix``, whose extensions take
-    members from ``members[start]`` on; ``best`` is [value, subset] so far.
+    """The walk of _best_subset below ``parent``, whose children add the
+    ``members`` in turn; ``best`` is [value, subset] so far.
 
     A plain function, not a closure: a closure that calls itself is a
     reference cycle, which would keep ``value`` (and the memos it may hold)
     alive until the cyclic garbage collector runs.
     """
-    n = len(members)
-    for i in range(start, n):
-        combo = prefix + (members[i],)
-        val = value(combo)
-        if val > best[0]:
-            best[:] = val, combo
-        if len(combo) < max_size and i + 1 < n and (
-            bound is None or i + 2 == n or bound(combo + members[i + 1:]) > best[0]
+    children = [parent + (x,) for x in members]
+    values = value(children, parent)
+    for child, val in zip(children, values):
+        if val > best[0] or (val == best[0] and child < best[1]):
+            best[:] = val, child
+    if len(parent) + 1 == max_size or len(children) < 2:
+        return
+    bounds = None if bound is None else bound(parent, children)
+    for i, child in enumerate(children[:-1]):
+        if bounds is not None and (
+            bounds[i] < best[0] or (bounds[i] == best[0] and best[1] < child)
         ):
-            _walk(value, bound, members, max_size, combo, i + 1, best)
+            continue
+        _walk(value, bound, members[i + 1:], max_size, child, best)
+
+
+def _oracle_values(
+    oracle: Oracle, subsets: list[tuple[int, ...]], parent: tuple[int, ...] | None
+) -> list[float]:
+    """Each subset's value, a move from parent when there is one."""
+    if parent is None:
+        return [oracle.eval(c) for c in subsets]
+    near, value = frozenset(parent), oracle.eval
+    return [value(c, near) for c in subsets]
+
+
+def _monotone_bounds(
+    oracle: Oracle, parent: tuple[int, ...], children: list[tuple[int, ...]]
+) -> list[float]:
+    """f(child + every later member) per child, for a monotone function.
+
+    The child before the last has one extension, which the walk values at
+    the same cost, so its bound is infinite.  The others are valued from the
+    last child down, each an add move from the next one's bound set.
+    """
+    bounds = [math.inf] * (len(children) - 1)
+    grown = frozenset(children[-1] + children[-2][-1:])
+    for i in range(len(children) - 3, -1, -1):
+        near, grown = grown, grown | {children[i][-1]}
+        bounds[i] = oracle.eval(grown, near)
+    return bounds
+
+
+def _cut_bounds(
+    oracle: Oracle, k: int, parent: tuple[int, ...], children: list[tuple[int, ...]]
+) -> list[float]:
+    """The k-aware submodular bound per child c = parent + x, at no call.
+
+    For submodular f and any set Y of at most r = k - |c| later members,
+    f(c + Y) <= f(c) + the sum over y in Y of f(parent + y) - f(parent)
+    (Nemhauser, Wolsey and Fisher 1978), so the bound is f(c) plus the r
+    largest positive of those sibling marginals.  It is summed in exact ints
+    from parent's state, and rounded once: rounding is monotone, so no
+    subset below c has a larger float value.
+    """
+    descriptor = oracle.descriptor
+    state = oracle._state_of(frozenset(parent))
+    total = descriptor._exact(state)
+    gains = [descriptor._gain(state, c[-1]) for c in children]
+    room = k - len(parent) - 1
+    top: list[int] = []  # the room largest positive gains after child i, ascending
+    bounds = [math.inf] * (len(children) - 1)
+    for i in range(len(children) - 2, -1, -1):
+        if gains[i + 1] > 0:
+            bisect.insort(top, gains[i + 1])
+            del top[:-room]
+        try:
+            bounds[i] = (total + gains[i] + sum(top)) / descriptor._scale
+        except OverflowError:
+            pass
+    return bounds
 
 
 def _summed(pairs: Iterable[tuple[frozenset[int], float]]) -> ExactResult:
@@ -147,14 +211,18 @@ def _exact_feasible(
 ) -> tuple[frozenset[int], float]:
     """Best subset of the ascending ``members`` with at most k items.
 
-    A monotone function is its own bound on the walk (see _best_subset).  The
-    bound holds in floats: coverage and modular values are correctly rounded
-    totals, and facility location adds non-negative per-client maxima, each
-    of which grows with the set, left to right from 0.0, and rounded float
-    addition is monotone.
+    The walk of _best_subset values each child as a move from its parent.
+    A monotone function is its own bound (_monotone_bounds), which holds in
+    floats: coverage and modular values are correctly rounded totals, and
+    facility location adds non-negative per-client maxima, each of which
+    grows with the set, left to right from 0.0, and rounded float addition is
+    monotone.  A graph cut takes the k-aware bound (_cut_bounds).
     """
-    bound = oracle.eval if oracle.descriptor.monotone else None
-    val, tup = _best_subset(oracle.eval, members, k, bound)
+    if oracle.descriptor.monotone:
+        bound = functools.partial(_monotone_bounds, oracle)
+    else:
+        bound = functools.partial(_cut_bounds, oracle, k)
+    val, tup = _best_subset(functools.partial(_oracle_values, oracle), members, k, bound)
     return frozenset(tup), val
 
 
@@ -238,7 +306,10 @@ def brute_force_optimum(instance: Instance) -> ExactResult:
             total += max(map(oracle.eval, subsets))
         return total
 
-    best_val, best_tup = _best_subset(value, range(instance.n), instance.l)
+    def values(sets: list[tuple[int, ...]], parent: tuple[int, ...] | None) -> list[float]:
+        return [value(S) for S in sets]
+
+    best_val, best_tup = _best_subset(values, range(instance.n), instance.l)
     return ExactResult(best_val, frozenset(best_tup))
 
 

@@ -73,7 +73,8 @@ def trim(f: Oracle, B: Iterable[int]) -> frozenset[int]:
         # totals its states hold, at no oracle call.
         if current - without < 0 or (
             current == without and not descriptor.monotone
-            and descriptor._state(kept - {x})[1] > descriptor._state(kept)[1]
+            and descriptor._exact(descriptor._state(kept - {x}))
+            > descriptor._exact(descriptor._state(kept))
         ):
             kept.discard(x)
             current = without

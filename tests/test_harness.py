@@ -4,9 +4,15 @@ import csv
 import dataclasses
 import hashlib
 import io
+import math
 import random
+import statistics
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage.exceptions import GuardExceededError, ValidationError
 from twostage.functions import Modular
@@ -16,6 +22,7 @@ from twostage.harness import (
     F_EVAL_MODES,
     RunConfig,
     TrialRecord,
+    _stdev,
     evaluate_reported_F,
     run_experiment,
 )
@@ -303,3 +310,38 @@ class TestCsv:
         assert len(rows) == 365
         digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
         assert digest[:16] == "247a9c10f20327ba"
+
+
+# A sample of F_reported or ratio values: finite and non-negative, from 0 and
+# the smallest subnormal to near the largest float, with repeats and ties.
+samples = st.lists(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    | st.sampled_from(helpers.ADVERSARIAL_WEIGHTS),
+    min_size=2, max_size=100,
+)
+
+
+class TestStddev:
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="stdev is correctly rounded from 3.11")
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(samples)
+    def test_stddev_is_statistics_stdev(self, values):
+        assert _stdev(values).hex() == statistics.stdev(values).hex()
+
+    def test_stddev_is_the_rounded_exact_root(self):
+        # On every Python: sqrt(var) lies within half an ulp of the result,
+        # checked in exact Fractions.
+        rng = random.Random(70)
+        for _ in range(300):
+            values = [rng.choice(helpers.ADVERSARIAL_WEIGHTS) * rng.random()
+                      for _ in range(rng.randrange(2, 40))]
+            exact = [Fraction(v) for v in values]
+            mean = sum(exact) / len(exact)
+            var = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+            got = _stdev(values)
+            below, above = math.nextafter(got, 0.0), math.nextafter(got, math.inf)
+            assert (Fraction(below) + Fraction(got)) ** 2 / 4 <= var
+            assert var <= (Fraction(got) + Fraction(above)) ** 2 / 4
+
+    def test_fewer_than_two_values_have_no_spread(self):
+        assert _stdev([]) == _stdev([3.5]) == 0.0

@@ -3,9 +3,11 @@ graph cut and modular, with every weight drawn from helpers.ADVERSARIAL_WEIGHTS.
 
 The seeded sweeps in test_functions.py and test_solver.py sample ordinary
 weights; here hypothesis searches the adversarial pool, n <= 7, for a move
-that differs from a whole-set value, a trim that loses value, keeps a member
-whose removal would raise it or differs from helpers.ref_trim, and a pruned
-exact report that differs from full enumeration.  It also runs both solvers
+that differs from a whole-set value (from one base or along a chain of
+bases), a grown state whose total differs from the grown set's, a trim that
+loses value, keeps a member whose removal would raise it or differs from
+helpers.ref_trim, a pruned exact report that differs from full enumeration,
+and a blank round that changes S or a feasible set.  It also runs both solvers
 and the greedy reports on instances of up to three such functions against
 helpers.ref_solve and helpers.ref_greedy, brute force against
 helpers.ref_brute_force, local_gain against helpers.expected_local_gain, and
@@ -35,6 +37,7 @@ from twostage.reference import (
 from twostage.solver import feasible_sets_value, replacement_greedy, sampling_greedy, trim
 
 from helpers import (
+    ADVERSARIAL_CUT,
     ADVERSARIAL_WEIGHTS,
     assert_solves_like_reference,
     expected_local_gain,
@@ -144,8 +147,15 @@ def test_trim_is_the_reference_trim(case):
 @example((4, FacilityLocation(((0.0, 1.0, 1.0, 0.1), (0.0, 0.2, 0.2, 0.3)))))
 # Ties: items 0 and 1 cover the same elements, item 3 covers none.
 @example((4, Coverage((1.0, 1.0, 0.1), (frozenset({0, 1}),) * 2 + (frozenset({2}), frozenset()))))
+# Marginals from 5e-324 to 2**53 and 1e16, which a float sum of the k-aware
+# bound would round away.
+@example((6, ADVERSARIAL_CUT))
+# Ties: the star's leaves are worth the same, so a later sibling can hold the
+# best value when the walk decides whether to skip below an earlier one.
+@example((5, GraphCut(((0, 4, 1.0), (1, 4, 1.0), (2, 4, 1.0), (3, 4, 1.0)))))
 def test_pruned_exact_report_is_full_enumeration(case):
-    # Every S and every k up to |S|.  The memo makes repeated sets cheap; each
+    # Every S and every k up to |S|, for every kind: the monotone bound and
+    # graph cut's k-aware bound.  The memo makes repeated sets cheap; each
     # call still counts.
     n, descriptor = case
     subsets = [c for j in range(n + 1) for c in itertools.combinations(range(n), j)]
@@ -154,11 +164,86 @@ def test_pruned_exact_report_is_full_enumeration(case):
         for k in range(len(S) + 1):
             oracle = Oracle(descriptor, n, memo)
             witness, got = _exact_feasible(oracle, S, k)
-            want, tup = _best_subset(value.__getitem__, S, k)
+            want, tup = _best_subset(lambda sets, parent: list(map(value.get, sets)), S, k)
             assert (got.hex(), witness) == (want.hex(), frozenset(tup)), (S, k)
-            assert oracle.eval_count <= 2 * exact_eval_cost(len(S), k)
+            # The k-aware bound makes no call.
+            calls = exact_eval_cost(len(S), k) * (1 if isinstance(descriptor, GraphCut) else 2)
+            assert oracle.eval_count <= calls
             feasible = (c for j in range(k + 1) for c in itertools.combinations(S, j))
             assert tup == min(feasible, key=lambda c: (-value[c], c)), (S, k)
+
+
+@search
+@given(cases())
+@example((6, ADVERSARIAL_CUT, frozenset({0, 2, 3})))
+def test_grow_is_the_state_of_the_grown_set(case):
+    # Grown from the empty set through T's items in ascending order, then
+    # from T by every item outside it.
+    n, descriptor, T = case
+    order = sorted(T)
+    steps = [(frozenset(order[:i]), x) for i, x in enumerate(order)]
+    steps += [(T, x) for x in sorted(set(range(n)) - T)]
+    states = {frozenset(): descriptor._state(())}
+    for before, x in steps:
+        grown = states[before | {x}] = descriptor._grow(states[before], x)
+        whole = descriptor._state(before | {x})
+        total = descriptor._total(whole).hex()
+        assert descriptor._total(grown).hex() == total, (sorted(before), x)
+        assert descriptor._join(states[before], x).hex() == total, (sorted(before), x)
+        if not isinstance(descriptor, FacilityLocation):
+            assert descriptor._exact(grown) == descriptor._exact(whole), (sorted(before), x)
+
+
+@st.composite
+def base_chains(draw):
+    """(n, descriptor, bases): prefixes of one order of range(n), of drawn
+    lengths, so that the bases grow and shrink by one item or several."""
+    n, descriptor = draw(sized_descriptors())
+    order = draw(st.permutations(range(n)))
+    lengths = draw(st.lists(st.integers(0, n), min_size=1, max_size=8))
+    return n, descriptor, [frozenset(order[:j]) for j in lengths]
+
+
+@search
+@given(base_chains())
+def test_moves_along_a_base_chain_are_whole_set_values(chain):
+    # The oracle keeps the states of the bases inside the newest one and
+    # grows new ones from them; every add and swap from each base must still
+    # be the whole-set value, at one call each.
+    n, descriptor, bases = chain
+    oracle = Oracle(descriptor, n)
+    for T in bases:
+        for x in sorted(set(range(n)) - T):
+            for move in [T | {x}] + [(T | {x}) - {y} for y in sorted(T)]:
+                before = oracle.eval_count
+                got, want = oracle.eval(move, T), descriptor.value(move)
+                assert got.hex() == want.hex(), (sorted(T), sorted(move))
+                assert oracle.eval_count == before + 1
+
+
+@st.composite
+def crowded_instances(draw) -> Instance:
+    """Instances with l = n or n - 1, so that late rounds have blank slots."""
+    n = draw(st.integers(2, 7))
+    functions = draw(st.lists(descriptors(n), min_size=1, max_size=3))
+    return Instance(n, draw(st.integers(1, 3)), n - draw(st.integers(0, 1)), tuple(functions))
+
+
+@search
+@given(crowded_instances(), st.integers(0, 2**32 - 1))
+def test_a_blank_round_changes_nothing(instance, seed):
+    # A round adds its pick to S unless it draws a blank slot; then S and
+    # every feasible set stay as they were.
+    rounds = []
+    solution = sampling_greedy(instance, seed, rounds.append)
+    S, Ts = frozenset(), (frozenset(),) * instance.m
+    for state in rounds:
+        if len(state.S) == len(S):
+            assert (state.S, state.Ts) == (S, Ts), state.round_index
+        else:
+            assert len(state.S) == len(S) + 1 and S < state.S
+        S, Ts = state.S, state.Ts
+    assert (solution.S, solution.Ts) == (S, Ts)
 
 
 @search

@@ -17,6 +17,7 @@ from twostage.reference import (
     EXACT_EVAL_GUARD,
     ExactResult,
     _best_subset,
+    _exact_feasible,
     brute_force_cost,
     brute_force_optimum,
     evaluate_F_exact,
@@ -49,48 +50,52 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-# (kind, seed, S, F(S).hex(), witnesses) on the benchmark's two scale shapes:
-# facility location (n=100, m=3, k=8, l=10) and mixed (n=100, m=5, k=5, l=10).
-# S is sampling_greedy(instance, seed).S.  The other instances in these tests
-# are too small for the pruned walk to skip much.  Facility location adds
-# left to right, so the floats are the same on every supported Python.
+# (kind, seed, S, F(S).hex(), witnesses, calls) on the benchmark's two scale
+# shapes: facility location (n=100, m=3, k=8, l=10) and mixed (n=100, m=5,
+# k=5, l=10).  S is sampling_greedy(instance, seed).S.  calls are each
+# function's oracle calls in its exact report: the monotone kinds' equal
+# those of a preorder walk with the same bound, and the graph cuts' (the
+# third function of mixed) are those of the k-aware bound, against 638 for
+# every subset.  The other instances in these tests are too small for the
+# pruned walk to skip much.  Facility location adds left to right, so the
+# floats are the same on every supported Python.
 SCALE_REPORTS = [
     ("facility_location", 10000, (0, 12, 14, 17, 27, 38, 46, 57, 81, 85), "0x1.131e798f414c0p+8", (
         (12, 14, 27, 38, 46, 57, 81, 85),
         (0, 17, 27, 38, 46, 57, 81, 85),
         (0, 12, 14, 27, 38, 46, 57, 85),
-    )),
+    ), (267, 270, 237)),
     ("facility_location", 10001, (10, 13, 15, 24, 41, 44, 70, 80, 83, 98), "0x1.138a67cb6556ep+8", (
         (10, 13, 41, 44, 70, 80, 83, 98),
         (10, 13, 15, 24, 41, 44, 80, 98),
         (10, 13, 15, 24, 41, 80, 83, 98),
-    )),
+    ), (246, 161, 203)),
     ("facility_location", 10002, (0, 2, 9, 22, 32, 33, 59, 68, 92, 93), "0x1.1333e90234d1cp+8", (
         (0, 9, 22, 32, 33, 59, 92, 93),
         (0, 2, 9, 32, 33, 59, 92, 93),
         (0, 9, 22, 32, 33, 68, 92, 93),
-    )),
+    ), (176, 203, 187)),
     ("mixed", 10000, (13, 21, 23, 27, 38, 42, 46, 65, 82, 92), "0x1.49d80303b2bd7p+9", (
         (13, 21, 27, 65, 82),
         (13, 21, 27, 38, 65),
         (13, 23, 27, 38, 42),
         (21, 23, 46, 82, 92),
         (13, 23, 38, 42, 92),
-    )),
+    ), (584, 567, 73, 476, 499)),
     ("mixed", 10001, (13, 16, 18, 24, 37, 41, 55, 57, 87, 90), "0x1.4dce04d1a2faep+9", (
         (13, 16, 24, 41, 55),
         (13, 16, 24, 57, 87),
         (13, 16, 18, 37, 57),
         (13, 16, 37, 87, 90),
         (13, 16, 41, 55, 87),
-    )),
+    ), (467, 496, 53, 553, 505)),
     ("mixed", 10002, (6, 7, 28, 35, 61, 67, 73, 74, 91, 96), "0x1.4b78ec8952475p+9", (
         (6, 67, 73, 74, 91),
         (28, 61, 73, 74, 91),
         (7, 28, 61, 67, 91),
         (6, 7, 28, 73, 96),
         (28, 35, 67, 73, 96),
-    )),
+    ), (629, 574, 80, 539, 659)),
 ]
 
 
@@ -132,15 +137,30 @@ class TestEvaluateFExact:
             evaluate_F_exact(instance, range(15000))
 
     @pytest.mark.parametrize(
-        "kind, seed, S, value, witnesses", SCALE_REPORTS,
+        "kind, seed, S, value, witnesses, calls", SCALE_REPORTS,
         ids=[f"{kind}-{seed}" for kind, seed, *_ in SCALE_REPORTS],
     )
-    def test_scale_reports(self, kind, seed, S, value, witnesses):
+    def test_scale_reports(self, kind, seed, S, value, witnesses, calls):
         m, k = (3, 8) if kind == "facility_location" else (5, 5)
         instance = generate_instance(kind, 100, m, k, 10, seed=seed)
         result = evaluate_F_exact(instance, S)
         assert result.value.hex() == value
         assert result.witness == tuple(map(frozenset, witnesses))
+        oracles = instance.oracles()
+        for oracle, witness in zip(oracles, witnesses):
+            assert _exact_feasible(oracle, S, k)[0] == frozenset(witness)
+        assert tuple(o.eval_count for o in oracles) == calls
+
+    def test_cut_bound_is_summed_in_exact_ints(self):
+        # Items 1..4 of S = {0, ..., 4} each cut their own edge, of weight 1,
+        # 2**53, 1 and 1; item 0 cuts none.  Below {1}, at most 3 more items
+        # give 1 + 2**53 + 1 + 1,
+        # which rounds to 2**53 + 4; a float sum of the marginals from the
+        # largest down gives 2**53 + 1, which rounds to 2**53, below the
+        # 2**53 + 2 of {0, 1, 2, 3} found first, and would skip the optimum.
+        cut = GraphCut(((1, 6, 1.0), (2, 7, 2.0**53), (3, 8, 1.0), (4, 9, 1.0)))
+        result = evaluate_F_exact(Instance(10, 4, 5, (cut,)), range(5))
+        assert result == ExactResult(2.0**53 + 4, (frozenset({1, 2, 3, 4}),))
 
     @pytest.mark.parametrize("reporter", [evaluate_F_exact, evaluate_F_greedy])
     def test_witness_replay_reproduces_value(self, reporter):
@@ -232,14 +252,17 @@ class TestBestSubset:
         # brute_force_optimum's value holds its oracles and their memos: a
         # cycle through it would keep them until the cyclic collector runs.
         class Size:
-            def __call__(self, subset):
-                return float(len(subset))
+            def __call__(self, subsets, parent):
+                return [float(len(c)) for c in subsets]
+
+            def bound(self, parent, children):
+                return [3.0] * (len(children) - 1)
 
         value = Size()
         alive = weakref.ref(value)
         gc.disable()
         try:
-            assert _best_subset(value, range(5), 3, value) == (3.0, (0, 1, 2))
+            assert _best_subset(value, range(5), 3, value.bound) == (3.0, (0, 1, 2))
             del value
             assert alive() is None
         finally:
@@ -278,7 +301,8 @@ class TestTabulatedBruteForce:
     @staticmethod
     def _check(instance) -> None:
         want_value, want_tup = _best_subset(
-            lambda c: evaluate_F_exact(instance, c).value, range(instance.n), instance.l
+            lambda sets, parent: [evaluate_F_exact(instance, c).value for c in sets],
+            range(instance.n), instance.l,
         )
         got = brute_force_optimum(instance)
         assert got.value == want_value and got.value.hex() == want_value.hex()
