@@ -438,16 +438,17 @@ class Oracle:
     ``eval(items, near=base)`` values a set that is base plus one id x, or
     base plus x minus one member y, as the descriptor's state of base, or of
     base - y, joined with x (see ``_Summed``): the same float as a whole-set
-    value, at a fraction of its cost.  The oracle keeps the state of every
-    base (base or base - y) it used that the newest base contains, and drops
-    the others when a new base arrives: in a report's walk these are the
-    newest base's ancestors, in a solve the states of the current feasible
-    set T and of each T - y.  A base it lacks is grown (``_grow``) from the
-    largest kept base inside it, when that lacks at most ``_GROW_LIMIT`` of
-    its items, and built whole otherwise.
+    value, at a fraction of its cost.  The oracle keeps the state of each
+    base it was given that the newest base contains, and the states of the
+    previous base's swaps, and drops the others when a new base arrives: in
+    a report's walk it keeps the newest base's ancestors, in a solve the
+    feasible set T and what T - y were in the round before.  A state it
+    lacks is grown (``_grow``) from the largest of those inside its set,
+    when that lacks at most ``_GROW_LIMIT`` of its items, and built whole
+    otherwise.
     """
 
-    __slots__ = ("descriptor", "n", "_count", "_memo", "_base", "_kept", "_moves")
+    __slots__ = ("descriptor", "n", "_count", "_memo", "_base", "_kept", "_moves", "_swapped")
 
     def __init__(
         self,
@@ -462,10 +463,12 @@ class Oracle:
         self._count = 0
         self._memo = memo
         self._base: frozenset[int] | None = None
+        # The states of the bases that the newest base contains; the states
+        # the newest base's moves start from, by the member a swap removes
+        # (None for the base itself); and those of the previous base's swaps.
         self._kept: dict[frozenset[int], object] = {}
-        # The newest base's states in _kept, by the member a swap removes
-        # (None for the base itself).
         self._moves: dict[int | None, object] = {}
+        self._swapped: dict[frozenset[int], object] = {}
 
     @property
     def eval_count(self) -> int:
@@ -520,22 +523,25 @@ class Oracle:
         newest base.  Reads no value and counts no call."""
         if near is not self._base and near != self._base:
             self._check_ids(near)
-            self._base, self._moves = near, {}
+            old, moves = self._base, self._moves
+            self._swapped = {old - {z}: s for z, s in moves.items() if z is not None}
             self._kept = {b: s for b, s in self._kept.items() if b <= near}
+            self._base, self._moves = near, {}
         state = self._moves.get(y)
         if state is None:
             base = near if y is None else near - {y}
-            kept = self._kept
-            state = kept.get(base)
+            sources = self._swapped | self._kept
+            state = sources.get(base)
             if state is None:
-                below = max((b for b in kept if b <= base), key=len, default=None)
+                below = max((b for b in sources if b <= base), key=len, default=None)
                 if below is None or len(base) - len(below) > _GROW_LIMIT:
                     state = self.descriptor._state(base)
                 else:
-                    state = kept[below]
+                    state = sources[below]
                     for z in base - below:
                         state = self.descriptor._grow(state, z)
-                kept[base] = state
+            if y is None:
+                self._kept[near] = state
             self._moves[y] = state
         return state
 

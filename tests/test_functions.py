@@ -537,6 +537,45 @@ class TestMoveKernels:
             assert len(built) <= len(T) + 2, sorted(map(sorted, built))
 
     @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
+    def test_a_grown_base_builds_no_whole_state(self, kind, monkeypatch):
+        # When T gains an item x, T + x grows from T and each T + x - y from
+        # the last round's T - y: scoring passes after the first build no
+        # whole state.
+        n = 12
+        descriptor = helpers.random_descriptor(random.Random(3), kind, n)
+        ref = helpers.ref_value(descriptor)
+        oracle, built, state = Oracle(descriptor, n), [], type(descriptor)._state
+
+        def counted(self, items):
+            built.append(frozenset(items))
+            return state(self, items)
+
+        monkeypatch.setattr(type(descriptor), "_state", counted)
+        for size in range(1, 6):
+            T = frozenset(range(size))
+            for x in range(size, n):
+                for move in _moves(T, x):
+                    _assert_same_float(oracle.eval(move, near=T), ref(move))
+            # The first pass builds the states of {0} and the empty set.
+            assert built == ([frozenset({0}), frozenset()] if size == 1 else []), size
+            built.clear()
+
+    @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
+    def test_states_do_not_pile_up(self, kind):
+        # A feasible set that grows one item per round: the oracle keeps the
+        # states of the sets it was and of this and the last round's swaps,
+        # O(|T|) states, not every T - y of every round.
+        n = 40
+        descriptor = helpers.random_descriptor(random.Random(n), kind, n)
+        oracle = Oracle(descriptor, n)
+        for size in range(1, 30):
+            T = frozenset(range(size))
+            for move in _moves(T, n - 1):
+                _assert_same_float(oracle.eval(move, near=T), descriptor.value(move))
+            states = len(oracle._kept) + len(oracle._moves) + len(oracle._swapped)
+            assert states <= 3 * size + 2, (size, states)
+
+    @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
     def test_sets_that_are_not_moves_get_whole_values(self, kind):
         n = 6
         descriptor = helpers.random_descriptor(random.Random(31), kind, n)
