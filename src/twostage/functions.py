@@ -521,16 +521,18 @@ class Oracle:
     def _state_of(self, near: frozenset[int], y: int | None = None) -> object:
         """The descriptor's state of near, or of near - y, with near as the
         newest base.  Reads no value and counts no call."""
-        if near is not self._base and near != self._base:
+        old = self._base
+        if near is not old and near != old:
             self._check_ids(near)
-            old, moves = self._base, self._moves
-            self._swapped = {old - {z}: s for z, s in moves.items() if z is not None}
-            self._kept = {b: s for b, s in self._kept.items() if b <= near}
+            if old is not None:
+                self._swapped = {old - {z}: s for z, s in self._moves.items() if z is not None}
+                if not old <= near:
+                    self._kept = {b: s for b, s in self._kept.items() if b <= near}
             self._base, self._moves = near, {}
         state = self._moves.get(y)
         if state is None:
             base = near if y is None else near - {y}
-            sources = self._swapped | self._kept
+            sources = (self._swapped | self._kept) if self._swapped else self._kept
             state = sources.get(base)
             if state is None:
                 below = max((b for b in sources if b <= base), key=len, default=None)
