@@ -294,7 +294,8 @@ class FacilityLocation(_Summed):
         return tuple(map(max, map(itemgetter(*ids), rows)))
 
     def _grow(self, best: tuple[float, ...], x: int) -> tuple[float, ...]:
-        return tuple([s if s > m else m for m, s in zip(best, map(itemgetter(x), self.similarity))])
+        column = map(itemgetter(x), self.similarity)
+        return tuple([s if s > m else m for m, s in zip(best, column)])
 
     def _join(self, best: tuple[float, ...], x: int) -> float:
         # Each client's maximum is the one _state takes over the moved set, up

@@ -142,8 +142,9 @@ def _walk(
 def _oracle_values(
     oracle: Oracle, subsets: list[tuple[int, ...]], parent: tuple[int, ...] | None
 ) -> list[float]:
-    """Each subset's value, a move from parent when there is one."""
-    if parent is None:
+    """Each subset's value, a move from parent when parent has items: the
+    empty set and singletons cost no more whole."""
+    if not parent:
         return [oracle.eval(c) for c in subsets]
     near, value = frozenset(parent), oracle.eval
     return [value(c, near) for c in subsets]
