@@ -193,7 +193,7 @@ def _cut_bounds(
         try:
             bounds[i] = (total + gains[i] + sum(top)) / descriptor._scale
         except OverflowError:
-            pass
+            pass  # past the largest float: no bound
     return bounds
 
 
@@ -212,8 +212,8 @@ def _exact_feasible(
 ) -> tuple[frozenset[int], float]:
     """Best subset of the ascending ``members`` with at most k items.
 
-    The walk of _best_subset values each child as a move from its parent.
-    A monotone function is its own bound (_monotone_bounds), which holds in
+    The walk of _best_subset values each child of a non-empty parent as a
+    move from it.  A monotone function is its own bound (_monotone_bounds), which holds in
     floats: coverage and modular values are correctly rounded totals, and
     facility location adds non-negative per-client maxima, each of which
     grows with the set, left to right from 0.0, and rounded float addition is
