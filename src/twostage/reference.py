@@ -11,12 +11,11 @@ greedy surrogate scales instead.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exceptions import GuardExceededError
 from .functions import Oracle, _int_text
@@ -81,73 +80,41 @@ def brute_force_cost(instance: Instance) -> int:
     return sum(_brute_force_terms(instance))
 
 
-def _best_subset(
-    value: Callable[[list[tuple[int, ...]], tuple[int, ...] | None], list[float]],
-    members: Sequence[int],
-    max_size: int,
-    bound: Callable[[tuple[int, ...], list[tuple[int, ...]]], list[float]] | None = None,
-) -> tuple[float, tuple[int, ...]]:
-    """Max value over the subsets of the ascending ``members`` with at most
-    ``max_size`` items, ties to the lexicographically smallest tuple.
-
-    ``value(subsets, parent)`` returns the values of a list of subsets: the
-    empty set alone with parent None, or the children of parent, each parent
-    plus one later member.  A depth-first walk values all the children of a
-    node together, then visits them in order.  With ``bound``, the walk asks
-    ``bound(parent, children)``, once per node whose children have
-    children, for one float per child but the last: no less than the value
-    of any subset below that child, which adds later members to it.  It
-    skips the subsets below a child whose bound is less than the best so
-    far, or equal to it with a best that precedes the child: none of them can
-    beat the best, and each is lexicographically later than the child.
-    """
-    members = tuple(members)
-    best = [value([()], None)[0], ()]
-    if max_size > 0:
-        _walk(value, bound, members, max_size, (), best)
-    return best[0], best[1]
-
-
 def _walk(
-    value: Callable,
-    bound: Callable | None,
-    members: tuple[int, ...],
-    max_size: int,
-    parent: tuple[int, ...],
-    best: list,
+    oracle: Oracle, k: int, members: tuple[int, ...], parent: tuple[int, ...], best: list
 ) -> None:
-    """The walk of _best_subset below ``parent``, whose children add the
-    ``members`` in turn; ``best`` is [value, subset] so far.
+    """The exact report's walk below ``parent``: the subsets that add at
+    most k - |parent| of the ascending ``members`` to it.  ``best`` is
+    [value, subset] so far; ties go to the lexicographically smaller tuple.
+
+    A depth-first walk values all the children of a node, each a move from
+    it (singletons from the empty set), then visits them in order.  Before
+    visiting, it bounds each child but the last: no subset below the child,
+    which adds later members to it, is worth more.  It skips the subsets
+    below a child whose bound is less than the best so far, or equal to it
+    with a best that precedes the child: none of them can beat the best, and
+    each is lexicographically later than the child.
 
     A plain function, not a closure: a closure that calls itself is a
-    reference cycle, which would keep ``value`` (and the memos it may hold)
-    alive until the cyclic garbage collector runs.
+    reference cycle, which would keep the oracle (its states and memo) alive
+    until the cyclic garbage collector runs.
     """
     children = [parent + (x,) for x in members]
-    values = value(children, parent)
-    for child, val in zip(children, values):
+    near = frozenset(parent)
+    for child in children:
+        val = oracle.eval(child, near)
         if val > best[0] or (val == best[0] and child < best[1]):
             best[:] = val, child
-    if len(parent) + 1 == max_size or len(children) < 2:
+    if len(parent) + 1 == k or len(children) < 2:
         return
-    bounds = None if bound is None else bound(parent, children)
+    if oracle.descriptor.monotone:
+        bounds = _monotone_bounds(oracle, parent, children)
+    else:
+        bounds = _cut_bounds(oracle, k, parent, children)
     for i, child in enumerate(children[:-1]):
-        if bounds is not None and (
-            bounds[i] < best[0] or (bounds[i] == best[0] and best[1] < child)
-        ):
+        if bounds[i] < best[0] or (bounds[i] == best[0] and best[1] < child):
             continue
-        _walk(value, bound, members[i + 1:], max_size, child, best)
-
-
-def _oracle_values(
-    oracle: Oracle, subsets: list[tuple[int, ...]], parent: tuple[int, ...] | None
-) -> list[float]:
-    """Each subset's value, a move from parent when parent has items: the
-    empty set and singletons cost no more whole."""
-    if not parent:
-        return [oracle.eval(c) for c in subsets]
-    near, value = frozenset(parent), oracle.eval
-    return [value(c, near) for c in subsets]
+        _walk(oracle, k, members[i + 1:], child, best)
 
 
 def _monotone_bounds(
@@ -210,27 +177,24 @@ def _summed(pairs: Iterable[tuple[frozenset[int], float]]) -> ExactResult:
 def _exact_feasible(
     oracle: Oracle, members: Sequence[int], k: int
 ) -> tuple[frozenset[int], float]:
-    """Best subset of the ascending ``members`` with at most k items.
+    """Best subset of the ascending ``members`` with at most k items, by
+    _walk from the empty set.
 
-    The walk of _best_subset values each child of a non-empty parent as a
-    move from it.  A monotone function is its own bound (_monotone_bounds), which holds in
+    A monotone function is its own bound (_monotone_bounds), which holds in
     floats: coverage and modular values are correctly rounded totals, and
     facility location adds non-negative per-client maxima, each of which
     grows with the set, left to right from 0.0, and rounded float addition is
     monotone.  A graph cut takes the k-aware bound (_cut_bounds).
     """
-    if oracle.descriptor.monotone:
-        bound = functools.partial(_monotone_bounds, oracle)
-    else:
-        bound = functools.partial(_cut_bounds, oracle, k)
-    val, tup = _best_subset(functools.partial(_oracle_values, oracle), members, k, bound)
-    return frozenset(tup), val
+    best = [oracle.eval(()), ()]
+    if k > 0:
+        _walk(oracle, k, tuple(members), (), best)
+    return frozenset(best[1]), best[0]
 
 
 def evaluate_F_exact(instance: Instance, S: Iterable[int]) -> ExactResult:
     """Exact two-stage value of the reduced set S: per function, the best
-    subset of S with at most k items, found by the walk of _best_subset,
-    pruned for a monotone function.
+    subset of S with at most k items, found by a pruned walk (_walk).
 
     Guarded: refuses, before any oracle call, when S has more than 10^6 such
     subsets; each function then makes fewer than 2 * 10^6 calls.
@@ -307,11 +271,10 @@ def brute_force_optimum(instance: Instance) -> ExactResult:
             total += max(map(oracle.eval, subsets))
         return total
 
-    def values(sets: list[tuple[int, ...]], parent: tuple[int, ...] | None) -> list[float]:
-        return [value(S) for S in sets]
-
-    best_val, best_tup = _best_subset(values, range(instance.n), instance.l)
-    return ExactResult(best_val, frozenset(best_tup))
+    sets = (S for j in range(instance.l + 1)
+            for S in itertools.combinations(range(instance.n), j))
+    negated, best = min((-value(S), S) for S in sets)
+    return ExactResult(-negated, frozenset(best))
 
 
 def random_baseline(instance: Instance, seed: int) -> TwoStageSolution:

@@ -28,6 +28,7 @@ from twostage.instances import (
     serialize_instance,
 )
 from twostage.local_search import score_items
+from twostage.reference import _exact_feasible
 
 import helpers
 from helpers import ADVERSARIAL_CUT, ADVERSARIAL_WEIGHTS
@@ -574,6 +575,17 @@ class TestMoveKernels:
                 _assert_same_float(oracle.eval(move, near=T), descriptor.value(move))
             states = len(oracle._kept) + len(oracle._moves) + len(oracle._swapped)
             assert states <= 3 * size + 2, (size, states)
+
+    @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
+    def test_a_report_walk_keeps_only_the_newest_base_and_its_subsets(self, kind):
+        # The walk's bases (its nodes, and a monotone kind's bound sets) do
+        # not all contain one another: the oracle drops the states of those
+        # outside the newest base, rather than keep one state per node.
+        n = 8
+        descriptor = helpers.random_descriptor(random.Random(n), kind, n)
+        oracle = Oracle(descriptor, n)
+        _exact_feasible(oracle, range(n), 4)
+        assert oracle._kept and all(b <= oracle._base for b in oracle._kept)
 
     @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
     def test_sets_that_are_not_moves_get_whole_values(self, kind):

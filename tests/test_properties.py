@@ -25,7 +25,6 @@ from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular, Or
 from twostage.instances import Instance
 from twostage.local_search import local_gain
 from twostage.reference import (
-    _best_subset,
     _exact_feasible,
     _greedy_feasible,
     brute_force_optimum,
@@ -164,13 +163,12 @@ def test_pruned_exact_report_is_full_enumeration(case):
         for k in range(len(S) + 1):
             oracle = Oracle(descriptor, n, memo)
             witness, got = _exact_feasible(oracle, S, k)
-            want, tup = _best_subset(lambda sets, parent: list(map(value.get, sets)), S, k)
-            assert (got.hex(), witness) == (want.hex(), frozenset(tup)), (S, k)
+            feasible = (c for j in range(k + 1) for c in itertools.combinations(S, j))
+            tup = min(feasible, key=lambda c: (-value[c], c))
+            assert (got.hex(), witness) == (value[tup].hex(), frozenset(tup)), (S, k)
             # The k-aware bound makes no call.
             calls = exact_eval_cost(len(S), k) * (1 if isinstance(descriptor, GraphCut) else 2)
             assert oracle.eval_count <= calls
-            feasible = (c for j in range(k + 1) for c in itertools.combinations(S, j))
-            assert tup == min(feasible, key=lambda c: (-value[c], c)), (S, k)
 
 
 @search

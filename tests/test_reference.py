@@ -16,8 +16,8 @@ from twostage.reference import (
     BRUTE_FORCE_GUARD,
     EXACT_EVAL_GUARD,
     ExactResult,
-    _best_subset,
     _exact_feasible,
+    _walk,
     brute_force_cost,
     brute_force_optimum,
     evaluate_F_exact,
@@ -114,6 +114,12 @@ class TestEvaluateFExact:
         result = evaluate_F_exact(instance, {0, 1})
         assert result.value == 4.0
         assert result.witness == (frozenset({0}), frozenset({1}))
+
+    def test_tie_goes_to_the_smaller_tuple_across_sizes(self):
+        # {1} and {0, 1} are both worth 1.0, and (0, 1) < (1,): a walk that
+        # kept the first maximum in size order would report {1}.
+        instance = Instance(2, 2, 2, (Modular((0.0, 1.0)),))
+        assert evaluate_F_exact(instance, {0, 1}).witness == (frozenset({0, 1}),)
 
     def test_witness_never_contains_a_dummy(self):
         # Ids from n on are not items: evaluation rejects one rather than
@@ -219,6 +225,11 @@ class TestBruteForceOptimum:
         result = brute_force_optimum(zoo_instance())
         assert result == ExactResult(2.0, frozenset({0}))
 
+    def test_tie_goes_to_the_smaller_tuple_across_sizes(self):
+        # As in the exact report: {1} ties with {0, 1}, and (0, 1) < (1,).
+        instance = Instance(2, 1, 2, (Modular((0.0, 1.0)),))
+        assert brute_force_optimum(instance) == ExactResult(1.0, frozenset({0, 1}))
+
     def test_path_cut_middle_vertex(self):
         instance = Instance(3, 1, 1, (helpers.path_cut(),))
         assert brute_force_optimum(instance) == ExactResult(2.0, frozenset({1}))
@@ -249,21 +260,23 @@ class TestBruteForceOptimum:
 
 class TestBestSubset:
     def test_walk_leaves_no_reference_cycle(self):
-        # brute_force_optimum's value holds its oracles and their memos: a
-        # cycle through it would keep them until the cyclic collector runs.
+        # An oracle holds its states and memo: a cycle through the walk would
+        # keep them until the cyclic collector runs.
         class Size:
-            def __call__(self, subsets, parent):
-                return [float(len(c)) for c in subsets]
+            class descriptor:
+                monotone = True
 
-            def bound(self, parent, children):
-                return [3.0] * (len(children) - 1)
+            def eval(self, items, near=None):
+                return float(len(items))
 
-        value = Size()
-        alive = weakref.ref(value)
+        oracle = Size()
+        alive = weakref.ref(oracle)
+        best = [0.0, ()]
         gc.disable()
         try:
-            assert _best_subset(value, range(5), 3, value.bound) == (3.0, (0, 1, 2))
-            del value
+            _walk(oracle, 3, tuple(range(5)), (), best)
+            assert best == [3.0, (0, 1, 2)]
+            del oracle
             assert alive() is None
         finally:
             gc.enable()
@@ -300,10 +313,11 @@ class TestTabulatedBruteForce:
 
     @staticmethod
     def _check(instance) -> None:
-        want_value, want_tup = _best_subset(
-            lambda sets, parent: [evaluate_F_exact(instance, c).value for c in sets],
-            range(instance.n), instance.l,
-        )
+        sets = (S for j in range(instance.l + 1)
+                for S in itertools.combinations(range(instance.n), j))
+        value = {S: evaluate_F_exact(instance, S).value for S in sets}
+        want_tup = min(value, key=lambda S: (-value[S], S))
+        want_value = value[want_tup]
         got = brute_force_optimum(instance)
         assert got.value == want_value and got.value.hex() == want_value.hex()
         assert got.witness == frozenset(want_tup)
