@@ -413,11 +413,11 @@ ValueMemo = dict[frozenset[int], float]
 # few sets repeat anyway.
 _MEMO_LIMIT = 1 << 12
 
-# Oracle grows a base's state from a kept base that lacks at most this many of
-# its items, and builds it whole otherwise.  A grow per missing item costs a
-# fraction of a whole state only while few are missing, and the first bound
-# set below a node of a report's walk holds two items more than the node.
-_GROW_LIMIT = 2
+
+class _Base(frozenset):
+    """A set with its state, from ``Oracle.grow``; never handed out."""
+
+    __slots__ = ("state",)
 
 
 class Oracle:
@@ -439,17 +439,14 @@ class Oracle:
     ``eval(items, near=base)`` values a set that is base plus one id x, or
     base plus x minus one member y, as the descriptor's state of base, or of
     base - y, joined with x (see ``_Summed``): the same float as a whole-set
-    value, at a fraction of its cost.  The oracle keeps the state of each
-    base it was given that the newest base contains, and the states of the
-    previous base's swaps, and drops the others when a new base arrives: in
-    a report's walk it keeps the newest base's ancestors, in a solve the
-    feasible set T and what T - y were in the round before.  A state it
-    lacks is grown (``_grow``) from the largest of those inside its set,
-    when that lacks at most ``_GROW_LIMIT`` of its items, and built whole
-    otherwise.
+    value, at a fraction of its cost.  A base from ``grow`` carries its state
+    (the reports grow each node from its parent).  For any other set, such
+    as a solver's feasible set T, the oracle builds the states of T and of
+    each T - y whole on first use, and keeps them while the same set object
+    keeps coming as ``near``.
     """
 
-    __slots__ = ("descriptor", "n", "_count", "_memo", "_base", "_kept", "_moves", "_swapped")
+    __slots__ = ("descriptor", "n", "_count", "_memo", "_near", "_states")
 
     def __init__(
         self,
@@ -463,13 +460,10 @@ class Oracle:
         self.n = n
         self._count = 0
         self._memo = memo
-        self._base: frozenset[int] | None = None
-        # The states of the bases that the newest base contains; the states
-        # the newest base's moves start from, by the member a swap removes
-        # (None for the base itself); and those of the previous base's swaps.
-        self._kept: dict[frozenset[int], object] = {}
-        self._moves: dict[int | None, object] = {}
-        self._swapped: dict[frozenset[int], object] = {}
+        # The last plain set given as near, and the states its moves start
+        # from, by the member a swap removes (None for the set itself).
+        self._near: frozenset[int] | None = None
+        self._states: dict[int | None, object] = {}
 
     @property
     def eval_count(self) -> int:
@@ -478,8 +472,9 @@ class Oracle:
     def eval(self, items: Iterable[int], near: Collection[int] | None = None) -> float:
         """Value of the item set.  Counts as one oracle call.
 
-        ``near``, when given, is a set that items is likely one move from (see
-        the class docstring); it changes the cost of the call, not its value.
+        ``near``, when given, is a set or a base from ``grow`` that items is
+        likely one move from (see the class docstring); it changes the cost
+        of the call, not its value.
         """
         items = frozenset(items)
         memo = self._memo
@@ -489,7 +484,7 @@ class Oracle:
                 # A memoised set was validated when it was first valued.
                 self._count += 1
                 return value
-        value = None if near is None else self._move_value(items, frozenset(near))
+        value = None if near is None else self._move_value(items, near)
         if value is None:
             self._check_ids(items)
             value = self.descriptor.value(items)
@@ -498,9 +493,20 @@ class Oracle:
             memo[items] = value
         return value
 
-    def _move_value(self, items: frozenset[int], near: frozenset[int]) -> float | None:
+    def grow(self, near: frozenset[int], x: int) -> frozenset[int]:
+        """near + x, for an x not in near, as a base that carries its state
+        (see the class docstring).  Reads no value and counts no call."""
+        if not 0 <= x < self.n:
+            self._check_ids((x,))
+        base = _Base(near | {x})
+        base.state = self.descriptor._grow(self._state_of(near), x)
+        return base
+
+    def _move_value(self, items: frozenset[int], near: Collection[int]) -> float | None:
         """f(items) from a state of near or of near - y, or None when items is
         not one move from near."""
+        if not isinstance(near, frozenset):
+            near = frozenset(near)
         added = items - near
         if len(added) != 1:
             return None
@@ -514,38 +520,22 @@ class Oracle:
         (x,) = added
         if not 0 <= x < self.n:
             self._check_ids(added)
-        state = self._moves.get(y) if near is self._base else None
+        state = self._states.get(y) if near is self._near else None
         if state is None:
             state = self._state_of(near, y)
         return self.descriptor._join(state, x)
 
     def _state_of(self, near: frozenset[int], y: int | None = None) -> object:
-        """The descriptor's state of near, or of near - y, with near as the
-        newest base.  Reads no value and counts no call."""
-        old = self._base
-        if near is not old and near != old:
+        """The descriptor's state of near, or of near - y.  Reads no value and
+        counts no call."""
+        if y is None and type(near) is _Base:
+            return near.state
+        if near is not self._near:
             self._check_ids(near)
-            if old is not None:
-                self._swapped = {old - {z}: s for z, s in self._moves.items() if z is not None}
-                if not old <= near:
-                    self._kept = {b: s for b, s in self._kept.items() if b <= near}
-            self._base, self._moves = near, {}
-        state = self._moves.get(y)
+            self._near, self._states = near, {}
+        state = self._states.get(y)
         if state is None:
-            base = near if y is None else near - {y}
-            sources = (self._swapped | self._kept) if self._swapped else self._kept
-            state = sources.get(base)
-            if state is None:
-                below = max((b for b in sources if b <= base), key=len, default=None)
-                if below is None or len(base) - len(below) > _GROW_LIMIT:
-                    state = self.descriptor._state(base)
-                else:
-                    state = sources[below]
-                    for z in base - below:
-                        state = self.descriptor._grow(state, z)
-            if y is None:
-                self._kept[near] = state
-            self._moves[y] = state
+            state = self._states[y] = self.descriptor._state(near if y is None else near - {y})
         return state
 
     def _check_ids(self, items: Iterable[int]) -> None:

@@ -45,8 +45,8 @@ def local_gain(f: Oracle, x: int, A: Iterable[int], k: int) -> GainAction:
     (when |A| < k) the direct-add gain, with the set that move produces.
     Swaps are evaluated in ascending victim id, then the add; victim ties
     resolve to the smallest id, and an add must strictly beat the best swap.
-    Each move is valued with A as ``near``, so the oracle prices it from the
-    states it keeps for A (see Oracle); every move is still one counted call.
+    Each move is valued with A as ``near``, from the states the oracle builds
+    once for the set A (see Oracle); every move is still one counted call.
     """
     current = frozenset(A)
     if len(current) > k:
@@ -83,8 +83,8 @@ def score_items(
     local_gain(f_i, x, T_i, k) gives.  One pass per function values every
     item's moves against T_i: f_i(T_i) once, then per item outside T_i its
     |T_i| swaps and, when |T_i| < k, its add, each one call from the states
-    the oracle keeps for T_i.  Output is in ascending item order, one entry
-    per universe item.
+    the oracle builds once for T_i.  Output is in ascending item order, one
+    entry per universe item.
     """
     if len(fs) != len(Ts):
         raise ValidationError(f"fs and Ts length mismatch: {len(fs)} vs {len(Ts)}")

@@ -81,26 +81,28 @@ def brute_force_cost(instance: Instance) -> int:
 
 
 def _walk(
-    oracle: Oracle, k: int, members: tuple[int, ...], parent: tuple[int, ...], best: list
+    oracle: Oracle, k: int, members: tuple[int, ...], parent: tuple[int, ...],
+    near: frozenset[int], best: list,
 ) -> None:
-    """The exact report's walk below ``parent``: the subsets that add at
-    most k - |parent| of the ascending ``members`` to it.  ``best`` is
-    [value, subset] so far; ties go to the lexicographically smaller tuple.
+    """The exact report's walk below ``parent``, held as the base ``near``:
+    the subsets that add at most k - |parent| of the ascending ``members``
+    to it.  ``best`` is [value, subset] so far; ties go to the
+    lexicographically smaller tuple.
 
     A depth-first walk values all the children of a node, each a move from
-    it (singletons from the empty set), then visits them in order.  Before
-    visiting, it bounds each child but the last: no subset below the child,
-    which adds later members to it, is worth more.  It skips the subsets
-    below a child whose bound is less than the best so far, or equal to it
-    with a best that precedes the child: none of them can beat the best, and
-    each is lexicographically later than the child.
+    it (singletons from the empty set), then visits them in order, each as a
+    base grown from the node's (``Oracle.grow``).  Before visiting, it bounds
+    each child but the last: no subset below the child, which adds later
+    members to it, is worth more.  It skips the subsets below a child whose
+    bound is less than the best so far, or equal to it with a best that
+    precedes the child: none of them can beat the best, and each is
+    lexicographically later than the child.
 
     A plain function, not a closure: a closure that calls itself is a
     reference cycle, which would keep the oracle (its states and memo) alive
     until the cyclic garbage collector runs.
     """
     children = [parent + (x,) for x in members]
-    near = frozenset(parent)
     for child in children:
         val = oracle.eval(child, near)
         if val > best[0] or (val == best[0] and child < best[1]):
@@ -108,34 +110,37 @@ def _walk(
     if len(parent) + 1 == k or len(children) < 2:
         return
     if oracle.descriptor.monotone:
-        bounds = _monotone_bounds(oracle, parent, children)
+        bounds = _monotone_bounds(oracle, near, members)
     else:
-        bounds = _cut_bounds(oracle, k, parent, children)
+        bounds = _cut_bounds(oracle, k, near, members)
     for i, child in enumerate(children[:-1]):
         if bounds[i] < best[0] or (bounds[i] == best[0] and best[1] < child):
             continue
-        _walk(oracle, k, members[i + 1:], child, best)
+        _walk(oracle, k, members[i + 1:], child, oracle.grow(near, child[-1]), best)
 
 
 def _monotone_bounds(
-    oracle: Oracle, parent: tuple[int, ...], children: list[tuple[int, ...]]
+    oracle: Oracle, near: frozenset[int], members: tuple[int, ...]
 ) -> list[float]:
-    """f(child + every later member) per child, for a monotone function.
+    """f(child + every later member) per child near + members[i], for a
+    monotone function.
 
     The child before the last has one extension, which the walk values at
     the same cost, so its bound is infinite.  The others are valued from the
-    last child down, each an add move from the next one's bound set.
+    last child down, each an add move from the next one's bound set, a
+    grown base.
     """
-    bounds = [math.inf] * (len(children) - 1)
-    grown = frozenset(children[-1] + children[-2][-1:])
-    for i in range(len(children) - 3, -1, -1):
-        near, grown = grown, grown | {children[i][-1]}
-        bounds[i] = oracle.eval(grown, near)
+    bounds = [math.inf] * (len(members) - 1)
+    if len(members) > 2:
+        base = oracle.grow(near, members[-1])
+        for i in range(len(members) - 2, 0, -1):
+            base = oracle.grow(base, members[i])
+            bounds[i - 1] = oracle.eval(base | {members[i - 1]}, base)
     return bounds
 
 
 def _cut_bounds(
-    oracle: Oracle, k: int, parent: tuple[int, ...], children: list[tuple[int, ...]]
+    oracle: Oracle, k: int, near: frozenset[int], members: tuple[int, ...]
 ) -> list[float]:
     """The k-aware submodular bound per child c = parent + x, at no call.
 
@@ -143,17 +148,17 @@ def _cut_bounds(
     f(c + Y) <= f(c) + the sum over y in Y of f(parent + y) - f(parent)
     (Nemhauser, Wolsey and Fisher 1978), so the bound is f(c) plus the r
     largest positive of those sibling marginals.  It is summed in exact ints
-    from parent's state, and rounded once: rounding is monotone, so no
-    subset below c has a larger float value.
+    from the state of near, the parent, and rounded once: rounding is
+    monotone, so no subset below c has a larger float value.
     """
     descriptor = oracle.descriptor
-    state = oracle._state_of(frozenset(parent))
+    state = oracle._state_of(near)
     total = descriptor._exact(state)
-    gains = [descriptor._gain(state, c[-1]) for c in children]
-    room = k - len(parent) - 1
+    gains = [descriptor._gain(state, x) for x in members]
+    room = k - len(near) - 1
     top: list[int] = []  # the room largest positive gains after child i, ascending
-    bounds = [math.inf] * (len(children) - 1)
-    for i in range(len(children) - 2, -1, -1):
+    bounds = [math.inf] * (len(members) - 1)
+    for i in range(len(members) - 2, -1, -1):
         if gains[i + 1] > 0:
             bisect.insort(top, gains[i + 1])
             del top[:-room]
@@ -188,7 +193,7 @@ def _exact_feasible(
     """
     best = [oracle.eval(()), ()]
     if k > 0:
-        _walk(oracle, k, tuple(members), (), best)
+        _walk(oracle, k, tuple(members), (), frozenset(), best)
     return frozenset(best[1]), best[0]
 
 
@@ -214,7 +219,8 @@ def _greedy_feasible(oracle: Oracle, S: Iterable[int], k: int) -> tuple[frozense
     """Build one feasible set by strictly-improving greedy restricted to S.
 
     Each A + x is valued as a move from A (``Oracle.eval``'s ``near``): the
-    same float as a whole-set value, at a fraction of its cost.
+    same float as a whole-set value, at a fraction of its cost.  Each round's
+    A is grown from the last (``Oracle.grow``); a plain frozenset is returned.
     """
     pool = sorted(S)
     A: frozenset[int] = frozenset()
@@ -234,9 +240,9 @@ def _greedy_feasible(oracle: Oracle, S: Iterable[int], k: int) -> tuple[frozense
                 best_value = val
         if best_item is None:
             break
-        A |= {best_item}
+        A = oracle.grow(A, best_item)
         current = best_value
-    return A, current
+    return frozenset(A), current
 
 
 def evaluate_F_greedy(instance: Instance, S: Iterable[int]) -> ExactResult:

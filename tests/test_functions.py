@@ -508,8 +508,8 @@ class TestMoveKernels:
                     assert oracle.eval_count == before + 1
 
     def test_bases_can_alternate(self):
-        # The oracle must drop its states for a new base, and compare bases
-        # by their items, not by identity.
+        # The oracle must drop its states when another base comes, and a set
+        # passed as near, which it copies on every call, must get fresh ones.
         descriptor = FacilityLocation(((0.5, 0.1, 0.7, 0.2), (0.25, 0.75, 0.0, 1.0)))
         oracle = Oracle(descriptor, 4)
         bases = [frozenset({0}), frozenset({1, 2}), frozenset({0}), frozenset()]
@@ -538,54 +538,20 @@ class TestMoveKernels:
             assert len(built) <= len(T) + 2, sorted(map(sorted, built))
 
     @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
-    def test_a_grown_base_builds_no_whole_state(self, kind, monkeypatch):
-        # When T gains an item x, T + x grows from T and each T + x - y from
-        # the last round's T - y: scoring passes after the first build no
-        # whole state.
-        n = 12
-        descriptor = helpers.random_descriptor(random.Random(3), kind, n)
-        ref = helpers.ref_value(descriptor)
-        oracle, built, state = Oracle(descriptor, n), [], type(descriptor)._state
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_a_report_walk_builds_only_the_empty_sets_states_whole(self, kind, n, monkeypatch):
+        # The value of the empty set and the state its singletons move from;
+        # every other node and bound set grows from its parent.
+        descriptor = helpers.random_descriptor(random.Random(n), kind, n)
+        built, state = [], type(descriptor)._state
 
         def counted(self, items):
             built.append(frozenset(items))
             return state(self, items)
 
         monkeypatch.setattr(type(descriptor), "_state", counted)
-        for size in range(1, 6):
-            T = frozenset(range(size))
-            for x in range(size, n):
-                for move in _moves(T, x):
-                    _assert_same_float(oracle.eval(move, near=T), ref(move))
-            # The first pass builds the states of {0} and the empty set.
-            assert built == ([frozenset({0}), frozenset()] if size == 1 else []), size
-            built.clear()
-
-    @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
-    def test_states_do_not_pile_up(self, kind):
-        # A feasible set that grows one item per round: the oracle keeps the
-        # states of the sets it was and of this and the last round's swaps,
-        # O(|T|) states, not every T - y of every round.
-        n = 40
-        descriptor = helpers.random_descriptor(random.Random(n), kind, n)
-        oracle = Oracle(descriptor, n)
-        for size in range(1, 30):
-            T = frozenset(range(size))
-            for move in _moves(T, n - 1):
-                _assert_same_float(oracle.eval(move, near=T), descriptor.value(move))
-            states = len(oracle._kept) + len(oracle._moves) + len(oracle._swapped)
-            assert states <= 3 * size + 2, (size, states)
-
-    @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
-    def test_a_report_walk_keeps_only_the_newest_base_and_its_subsets(self, kind):
-        # The walk's bases (its nodes, and a monotone kind's bound sets) do
-        # not all contain one another: the oracle drops the states of those
-        # outside the newest base, rather than keep one state per node.
-        n = 8
-        descriptor = helpers.random_descriptor(random.Random(n), kind, n)
-        oracle = Oracle(descriptor, n)
-        _exact_feasible(oracle, range(n), 4)
-        assert oracle._kept and all(b <= oracle._base for b in oracle._kept)
+        _exact_feasible(Oracle(descriptor, n), range(n), 4)
+        assert len(built) <= 2 and not any(built), sorted(map(sorted, built))
 
     @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
     def test_sets_that_are_not_moves_get_whole_values(self, kind):
@@ -632,6 +598,19 @@ class TestMoveKernels:
         assert oracle.eval_count == 0
         # A rejected base leaves no state behind.
         _assert_same_float(oracle.eval({0, 1}, near={0}), descriptor.value({0, 1}))
+
+    @pytest.mark.parametrize("kind", sorted(helpers.DESCRIPTOR_BUILDERS))
+    def test_grow_rejects_ids_outside_the_ground_set(self, kind):
+        n = 4
+        descriptor = helpers.random_descriptor(random.Random(5), kind, n)
+        oracle = Oracle(descriptor, n)
+        base = oracle.grow(frozenset(), 1)
+        for near in (frozenset(), base):
+            for x in (-1, n, n + 3):
+                with pytest.raises(ValidationError, match="out of range, ground set has 4 items"):
+                    oracle.grow(near, x)
+        assert oracle.eval_count == 0
+        _assert_same_float(oracle.eval({1, 3}, near=base), descriptor.value({1, 3}))
 
 
 # Weights from the smallest subnormal to a quarter of the largest float: each

@@ -71,13 +71,33 @@ def graph_cuts(draw, n: int) -> GraphCut:
     return GraphCut(tuple((u, v, w) for (u, v), w in sorted(chosen.items())))
 
 
+# Weights whose sums round away the smaller: 1 + 5e-324 == 1 and 2**53 + 1 == 2**53.
+TIGHT_WEIGHTS = (5e-324, 1.0, 2.0**53)
+
+
+@st.composite
+def shaped_cuts(draw, n: int) -> GraphCut:
+    """A star or a path over a drawn order of range(n), its edges weighted in
+    turn by a drawn order of TIGHT_WEIGHTS, so that any three edges in a row
+    carry all three: a removal marginal that rounds to 0 is then common.
+    Independent weights made such cuts too rare for the search to reach the
+    star cut below."""
+    order = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        pairs = [(order[0], v) for v in order[1:]]
+    else:
+        pairs = list(zip(order, order[1:]))
+    ws = draw(st.permutations(TIGHT_WEIGHTS))
+    return GraphCut(tuple((min(u, v), max(u, v), ws[i % 3]) for i, (u, v) in enumerate(pairs)))
+
+
 @st.composite
 def modulars(draw, n: int) -> Modular:
     return Modular(tuple(draw(st.lists(weights, min_size=n, max_size=n))))
 
 
 def descriptors(n: int):
-    return st.one_of(coverages(n), facilities(n), graph_cuts(n), modulars(n))
+    return st.one_of(coverages(n), facilities(n), graph_cuts(n), shaped_cuts(n), modulars(n))
 
 
 @st.composite
@@ -194,29 +214,37 @@ def test_grow_is_the_state_of_the_grown_set(case):
 
 @st.composite
 def base_chains(draw):
-    """(n, descriptor, bases): prefixes of one order of range(n), of drawn
-    lengths, so that the bases grow and shrink by one item or several."""
+    """(n, descriptor, order, lengths): the bases are the prefixes of one
+    order of range(n) of the drawn lengths, so that they grow and shrink by
+    one item or several."""
     n, descriptor = draw(sized_descriptors())
     order = draw(st.permutations(range(n)))
     lengths = draw(st.lists(st.integers(0, n), min_size=1, max_size=8))
-    return n, descriptor, [frozenset(order[:j]) for j in lengths]
+    return n, descriptor, order, lengths
 
 
 @search
 @given(base_chains())
 def test_moves_along_a_base_chain_are_whole_set_values(chain):
-    # The oracle keeps the states of the bases inside the newest one and
-    # grows new ones from them; every add and swap from each base must still
-    # be the whole-set value, at one call each.
-    n, descriptor, bases = chain
+    # Each base is passed as a plain set, whose states the oracle builds, and
+    # as a base grown (Oracle.grow) one item at a time from the empty set;
+    # every add and swap from either must still be the whole-set value, at
+    # one call each.
+    n, descriptor, order, lengths = chain
     oracle = Oracle(descriptor, n)
-    for T in bases:
-        for x in sorted(set(range(n)) - T):
-            for move in [T | {x}] + [(T | {x}) - {y} for y in sorted(T)]:
-                before = oracle.eval_count
-                got, want = oracle.eval(move, T), descriptor.value(move)
-                assert got.hex() == want.hex(), (sorted(T), sorted(move))
-                assert oracle.eval_count == before + 1
+    grown = [frozenset()]  # grown[j] is order[:j], grown item by item
+    for j in lengths:
+        T = frozenset(order[:j])
+        while len(grown) <= j:
+            grown.append(oracle.grow(grown[-1], order[len(grown) - 1]))
+        assert grown[j] == T
+        for near in (T, grown[j]):
+            for x in sorted(set(range(n)) - T):
+                for move in [T | {x}] + [(T | {x}) - {y} for y in sorted(T)]:
+                    before = oracle.eval_count
+                    got, want = oracle.eval(move, near), descriptor.value(move)
+                    assert got.hex() == want.hex(), (sorted(T), sorted(move))
+                    assert oracle.eval_count == before + 1
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import pickle
 import random
 import signal
 import weakref
@@ -269,12 +270,15 @@ class TestBestSubset:
             def eval(self, items, near=None):
                 return float(len(items))
 
+            def grow(self, near, x):
+                return near | {x}
+
         oracle = Size()
         alive = weakref.ref(oracle)
         best = [0.0, ()]
         gc.disable()
         try:
-            _walk(oracle, 3, tuple(range(5)), (), best)
+            _walk(oracle, 3, tuple(range(5)), (), frozenset(), best)
             assert best == [3.0, (0, 1, 2)]
             del oracle
             assert alive() is None
@@ -443,3 +447,19 @@ class TestCrossAlgorithmInvariants:
                 feasible_sets_value(instance, solution.Ts)
                 <= evaluate_F_exact(instance, solution.S).value
             )
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_witnesses_are_plain_frozensets(self, kind):
+        # The reports grow their nodes as the oracle's own set type, which
+        # carries a state; none of those may leave the package.
+        instance = generate_instance(kind, 8, 3, 3, 6, seed=8)
+        S = range(1, 8)
+        witnesses = (
+            *evaluate_F_exact(instance, S).witness,
+            *evaluate_F_greedy(instance, S).witness,
+            *random_baseline(instance, 8).Ts,
+        )
+        assert any(witnesses)
+        for witness in witnesses:
+            assert type(witness) is frozenset
+            assert pickle.loads(pickle.dumps(witness)) == witness

@@ -74,8 +74,8 @@ CATALOGUE = (
     ),
     Mutant(
         "cut bound room is k - |c| - 2", REFERENCE,
-        "room = k - len(parent) - 1",
-        "room = k - len(parent) - 2",
+        "room = k - len(near) - 1",
+        "room = k - len(near) - 2",
     ),
     Mutant(
         "cut bound summed in floats", REFERENCE,
@@ -84,8 +84,8 @@ CATALOGUE = (
     ),
     Mutant(
         "monotone bound chain one item short", REFERENCE,
-        "grown = frozenset(children[-1] + children[-2][-1:])",
-        "grown = frozenset(children[-1])",
+        "base = oracle.grow(near, members[-1])",
+        "base = near",
     ),
     Mutant(
         "greedy report runs k + 1 rounds", REFERENCE,
@@ -139,9 +139,14 @@ CATALOGUE = (
         "slot = min(rng.randrange(top), len(M) - 1) if rng is not None else 0",
     ),
     Mutant(
-        "oracle keeps the states of bases it has left", FUNCTIONS,
-        "if not old <= near:",
-        "if False:",
+        "a plain near keeps its old states", FUNCTIONS,
+        "self._near, self._states = near, {}",
+        "self._near = near",
+    ),
+    Mutant(
+        "a grown base keeps its parent's state", FUNCTIONS,
+        "base.state = self.descriptor._grow(self._state_of(near), x)",
+        "base.state = self._state_of(near)",
     ),
 )
 
