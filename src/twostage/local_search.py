@@ -83,8 +83,10 @@ def score_items(
     local_gain(f_i, x, T_i, k) gives.  One pass per function values every
     item's moves against T_i: f_i(T_i) once, then per item outside T_i its
     |T_i| swaps and, when |T_i| < k, its add, each one call from the states
-    the oracle builds once for T_i.  Output is in ascending item order, one
-    entry per universe item.
+    the oracle builds once for T_i.  A monotone f_i whose T_i has room values
+    the add alone: f_i(T_i + x) is at least every f_i(T_i + x - y), rounded
+    values included, so the add's gain is the best.  Output is in ascending
+    item order, one entry per universe item.
     """
     if len(fs) != len(Ts):
         raise ValidationError(f"fs and Ts length mismatch: {len(fs)} vs {len(Ts)}")
@@ -96,7 +98,8 @@ def score_items(
             raise ValidationError(f"feasible set has {len(T)} items, budget k={k}")
     totals = [0.0] * len(items)
     for f, T, base in zip(fs, sets, bases):
-        members, room, value = sorted(T), len(T) < k, f.eval
+        room, value = len(T) < k, f.eval
+        members = () if room and f.descriptor.monotone else sorted(T)
         for j, x in enumerate(items):
             if x in T:
                 continue

@@ -61,18 +61,24 @@ def trim(f: Oracle, B: Iterable[int]) -> frozenset[int]:
 
     The result A satisfies f(A) >= f(B) and f(A) - f(A - {x}) >= 0 for every
     remaining x; one pass suffices because removals only raise the remaining
-    removal marginals under submodularity.
+    removal marginals under submodularity.  No removal marginal of a monotone
+    f is negative, so B comes back whole, after its ids are checked, at no
+    oracle call.
     """
+    descriptor = f.descriptor
+    if descriptor.monotone:
+        kept = frozenset(B)
+        f._check_ids(kept)
+        return kept
     kept = set(B)
     current = f.eval(kept)
-    descriptor = f.descriptor
     for x in sorted(kept):
         without = f.eval(kept - {x})
         # Only graph cut is non-monotone.  Its values are correctly rounded,
         # so only a tie can hide a marginal's sign: that goes to the exact int
         # totals its states hold, at no oracle call.
         if current - without < 0 or (
-            current == without and not descriptor.monotone
+            current == without
             and descriptor._exact(descriptor._state(kept - {x}))
             > descriptor._exact(descriptor._state(kept))
         ):

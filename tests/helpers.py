@@ -165,25 +165,30 @@ def ref_solve(instance, seed):
     """sampling_greedy(instance, seed), or replacement_greedy(instance) for
     seed None, transcribed from README "Algorithms": (S, Ts, evals, rounds).
 
-    Every set is valued whole by the ref_*_value functions and counted here,
-    with no oracle, memo or move state.  Trim is ref_trim.
+    Every set is valued whole by the ref_*_value functions, with no oracle,
+    memo or move state.  Every move is valued, so each score is checked in
+    full, but only the calls the solver makes are counted: scoring a monotone
+    function whose T has room counts its adds alone, which must give the best
+    gain, and trim counts none on a monotone function, where ref_trim must
+    keep every member.  Trim is ref_trim.
     """
     n, k, l = instance.n, instance.k, instance.l
     rng = None if seed is None else random.Random(seed)
     top = 1 if rng is None else l
     values = [ref_value(d) for d in instance.functions]
+    monotone = [d.monotone for d in instance.functions]
     calls = 0
 
-    def f(i, A):
+    def f(i, A, counted=True):
         nonlocal calls
-        calls += 1
+        calls += counted
         return values[i](A)
 
-    def best_move(i, T, x, base):
+    def best_move(i, T, x, base, counted=True):
         # Swaps in ascending victim id, then the add; only a strict gain wins.
         gain, after = 0.0, T
         for candidate in [(T | {x}) - {y} for y in sorted(T)] + ([T | {x}] if len(T) < k else []):
-            g = f(i, candidate) - base
+            g = f(i, candidate, counted) - base
             if g > gain:
                 gain, after = g, candidate
         return gain, after
@@ -196,7 +201,12 @@ def ref_solve(instance, seed):
         for x in unpicked:
             total = 0.0
             for i, T in enumerate(Ts):
-                total += best_move(i, T, x, bases[i])[0]
+                if monotone[i] and len(T) < k:
+                    gain = best_move(i, T, x, bases[i], counted=False)[0]
+                    assert gain == max(0.0, f(i, T | {x}) - bases[i]), (instance, i, T, x)
+                else:
+                    gain = best_move(i, T, x, bases[i])[0]
+                total += gain
             scores.append((-total, x))
         M = sorted(x for _, x in sorted(scores)[:top])
         slot = 0 if rng is None else rng.randrange(top)
@@ -205,7 +215,9 @@ def ref_solve(instance, seed):
             S.add(x)
             for i, T in enumerate(Ts):
                 gain, after = best_move(i, T, x, f(i, T))
-                if gain > 0.0:
+                if gain > 0.0 and monotone[i]:
+                    assert ref_trim(instance.functions[i], after) == after, (instance, i, after)
+                elif gain > 0.0:
                     after = ref_trim(instance.functions[i], after, lambda A: f(i, A))
                 Ts[i] = after
         rounds.append(RoundState(r, frozenset(S), tuple(Ts), calls))

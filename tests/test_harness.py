@@ -284,10 +284,12 @@ class TestCsv:
         assert rows[0][0] == "a-first"
         assert [r[2] for r in rows[4:]] == ["mean", "stddev", "mean", "stddev"]
 
-    def test_csv_bytes_golden_digest(self):
-        # Every algorithm, every F mode, and a group past the brute-force guard
-        # whose aggregate rows carry a blank ratio.  wall_ms is the only column
-        # that varies between runs, so it is blanked before hashing.
+    @staticmethod
+    def golden_digest(blanked):
+        """First 16 hex digits of the sha256 of the golden records' CSV with
+        the named columns blanked.  The records cover every algorithm, every F
+        mode, and a group past the brute-force guard whose aggregate rows
+        carry a blank ratio."""
         records = []
         for kind in GENERATOR_KINDS:
             for seed in (0, 1):
@@ -302,14 +304,26 @@ class TestCsv:
             "big",
         )
         rows = list(csv.reader(io.StringIO(helpers.render_csv(reversed(records)))))
+        assert rows[0] == list(CSV_HEADER) and len(rows) == 365
+        blank = [CSV_HEADER.index(name) for name in blanked]
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(rows[0])
         for row in rows[1:]:
-            writer.writerow(row[:-1] + [""])
-        assert len(rows) == 365
-        digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
-        assert digest[:16] == "247a9c10f20327ba"
+            writer.writerow(["" if i in blank else cell for i, cell in enumerate(row)])
+        return hashlib.sha256(buffer.getvalue().encode()).hexdigest()[:16]
+
+    def test_csv_bytes_golden_digest(self):
+        # wall_ms is the only column that varies between runs.  Re-pinned when
+        # scoring stopped valuing a monotone set's swaps while it has room and
+        # trim stopped valuing monotone sets: only evals moved (see below).
+        assert self.golden_digest(["wall_ms"]) == "3dd22b21e3a7d605"
+
+    def test_csv_bytes_golden_digest_without_evals(self):
+        # Everything but the call counts.  Recorded while scoring still valued
+        # a monotone set's swaps and trim still valued monotone sets: dropping
+        # those calls moved evals and nothing else.
+        assert self.golden_digest(["evals", "wall_ms"]) == "43e82c00335daeeb"
 
 
 # A sample of F_reported or ratio values: finite and non-negative, from 0 and

@@ -376,10 +376,10 @@ class TestReplacementGreedy:
 
     def test_zoo_coverage_eval_count(self):
         # Round 1 scores items 0-2 against the empty set (1 base + 3 adds),
-        # then absorbs 0 (base + add) and trims {0} (base + 1 removal): 8.
-        # Round 2 scores only 1 and 2 against {0} (1 base + 2 swaps), then
-        # finds that item 1 does not gain (base + 1 swap): 5 more.
-        assert replacement_greedy(zoo_instance()).evals == 13
+        # then absorbs 0 (base + add); trim keeps a monotone {0} at no call: 6.
+        # Round 2 scores only 1 and 2 against the full {0} (1 base + 2 swaps),
+        # then finds that item 1 does not gain (base + 1 swap): 5 more.
+        assert replacement_greedy(zoo_instance()).evals == 11
 
     def test_matches_sampling_when_every_round_is_forced(self):
         instance = Instance(3, 1, 1, (helpers.zoo_coverage(),))

@@ -188,8 +188,8 @@ class TestSamplingGreedy:
     @pytest.mark.parametrize(
         ("shape", "digest", "blank_solves"),
         [
-            ((4, 2, 2, 4), "ba58a82ca5f14775b9531e2da9530cbd8a05d40b2001fe77ba4ba8f87aaa00b1", 40),
-            ((5, 2, 2, 4), "0d6eb2e23c74505fc81073dcda85cc54290800dc4f9e9cc9941f56c963e5886c", 28),
+            ((4, 2, 2, 4), "f94ec0c6591be999f0c8d353aa65a79398c2699cdff432325586e033cd753edf", 40),
+            ((5, 2, 2, 4), "58b420845e6d01b5b6f2c10a264ba1d908f2e1674a55571d04abdd8edced9348", 28),
         ],
         ids=("n4-l4", "n5-l4"),
     )
@@ -197,7 +197,10 @@ class TestSamplingGreedy:
         # Shapes with n - l + 1 < l leave blank slots in the late rounds.
         # The digest covers the final (S, Ts, evals) and every RoundState of
         # sampling_greedy(instance, seed) and replacement_greedy(instance) for
-        # each generator kind and seeds 0..9.
+        # each generator kind and seeds 0..9.  Re-pinned when scoring stopped
+        # valuing a monotone set's swaps while it has room and trim stopped
+        # valuing monotone sets: with the evals left out, both digests read
+        # as before.
         records, blank = [], 0
         for kind in GENERATOR_KINDS:
             for seed in range(10):
