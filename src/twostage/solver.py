@@ -35,7 +35,8 @@ class RoundState:
     """Snapshot handed to an observer after each solver round completes.
 
     S holds the items selected so far; after a blank round it and every
-    feasible set equal the previous snapshot's."""
+    feasible set equal the previous snapshot's.  evals counts the oracle
+    calls of the solve so far, as TwoStageSolution.evals does."""
 
     round_index: int
     S: frozenset[int]
@@ -47,7 +48,11 @@ class RoundState:
 class TwoStageSolution:
     """Reduced set S (at most l items, fewer after blank rounds), per-function
     feasible sets, and the oracle-call count of the solve.  seed is None for
-    deterministic runs."""
+    deterministic runs.
+
+    evals counts scoring, absorbing and trimming.  Scoring a monotone
+    function whose set has room counts one add per candidate, and trimming a
+    monotone function's set counts none (see score_items and trim)."""
 
     S: frozenset[int]
     Ts: tuple[frozenset[int], ...]

@@ -6,11 +6,14 @@ weights; here hypothesis searches the adversarial pool, n <= 7, for a move
 that differs from a whole-set value (from one base or along a chain of
 bases), a grown state whose total differs from the grown set's, a trim that
 loses value, keeps a member whose removal would raise it or differs from
-helpers.ref_trim, a pruned exact report that differs from full enumeration,
-and a blank round that changes S or a feasible set.  It also runs both solvers
+helpers.ref_trim, a monotone trim that makes a call or drops a member, a
+monotone swap or removal worth more than the add or the set, a pruned exact
+report that differs from full enumeration, and a blank round that changes S
+or a feasible set.  It also runs both solvers
 and the greedy reports on instances of up to three such functions against
 helpers.ref_solve and helpers.ref_greedy, brute force against
-helpers.ref_brute_force, local_gain against helpers.expected_local_gain, and
+helpers.ref_brute_force, local_gain and score_items against
+helpers.expected_local_gain, and
 checks that each solver's feasible sets stay below the exact report of its S,
 whose witnesses replay to its value.
 """
@@ -18,12 +21,14 @@ whose witnesses replay to its value.
 import itertools
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twostage.exceptions import ValidationError
 from twostage.functions import Coverage, FacilityLocation, GraphCut, Modular, Oracle
 from twostage.instances import Instance
-from twostage.local_search import local_gain
+from twostage.local_search import local_gain, score_items
 from twostage.reference import (
     _exact_feasible,
     _greedy_feasible,
@@ -148,6 +153,18 @@ def test_trim_keeps_the_value_and_no_harmful_member(case):
     value = descriptor.value
     assert value(A) >= value(B)
     assert [x for x in sorted(A) if value(A) - value(A - {x}) < 0] == []
+
+
+@search
+@given(cases().filter(lambda case: case[1].monotone))
+def test_a_monotone_trim_keeps_every_member_at_no_call(case):
+    n, descriptor, B = case
+    oracle = Oracle(descriptor, n)
+    A = trim(oracle, sorted(B))
+    assert type(A) is frozenset and A == B and oracle.eval_count == 0
+    with pytest.raises(ValidationError, match=f"item {n} out of range, ground set has {n} items"):
+        trim(oracle, B | {n})
+    assert oracle.eval_count == 0
 
 
 @search
@@ -291,6 +308,56 @@ def test_greedy_reports_match_the_reference(instance, seed):
 def test_solvers_match_the_reference_solver(instance, seed):
     # seed None runs replacement_greedy.
     assert_solves_like_reference(instance, seed)
+
+
+@search
+@given(cases().filter(lambda case: case[1].monotone))
+def test_a_monotone_add_is_worth_every_swap_and_every_removal(case):
+    # What score_items and trim rest on, in rounded values: f(T + x), as the
+    # move scoring values, is at least every swap f(T + x - y), and no
+    # removal f(T - x) is worth more than f(T).
+    n, descriptor, T = case
+    oracle = Oracle(descriptor, n)
+    for x in sorted(set(range(n)) - T):
+        add = oracle.eval(T | {x}, T)
+        for y in sorted(T):
+            assert add >= oracle.eval((T | {x}) - {y}, T), (x, y)
+    value = descriptor.value(T)
+    for x in sorted(T):
+        assert value >= descriptor.value(T - {x}), x
+
+
+@st.composite
+def scored_sets(draw):
+    """(n, k, descriptors, one set of at most k items per descriptor)"""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    functions = draw(st.lists(descriptors(n), min_size=1, max_size=3))
+    Ts = [draw(st.frozensets(st.integers(0, n - 1), max_size=k)) for _ in functions]
+    return n, k, functions, Ts
+
+
+@search
+@given(scored_sets())
+# A full coverage set and a full facility location, where every swap counts.
+@example((3, 1, [Coverage((1.0, 1.0, 1.0), (frozenset({0, 1}), frozenset({1}), frozenset({2})))],
+          [frozenset({1})]))
+@example((6, 2, [FacilityLocation(((1.0, 0.2, 0.5, 0.0, 0.1, 0.3), (0.0, 1.0, 0.3, 0.2, 0.0, 0.1))),
+                 ADVERSARIAL_CUT], [frozenset({0, 2}), frozenset({1})]))
+def test_score_items_totals_are_the_summed_local_gains(case):
+    n, k, functions, Ts = case
+    oracles = [Oracle(descriptor, n) for descriptor in functions]
+    for x, total in score_items(oracles, Ts, range(n), k):
+        want = 0.0
+        for descriptor, T in zip(functions, Ts):
+            want += expected_local_gain(descriptor, x, T, k)[0]
+        assert total.hex() == want.hex(), x
+    # One base per function; per outside item, the add alone for a monotone
+    # function whose set has room, else every swap and, with room, the add.
+    for oracle, descriptor, T in zip(oracles, functions, Ts):
+        room = len(T) < k
+        per_item = 1 if room and descriptor.monotone else len(T) + room
+        assert oracle.eval_count == 1 + (n - len(T)) * per_item
 
 
 @search

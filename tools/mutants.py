@@ -103,6 +103,16 @@ CATALOGUE = (
         "        if g >= gain and g > 0:\n            gain, after = g, with_x",
     ),
     Mutant(
+        "monotone shortcut for every kind", LOCAL_SEARCH,
+        "members = () if room and f.descriptor.monotone else sorted(T)",
+        "members = () if room else sorted(T)",
+    ),
+    Mutant(
+        "monotone shortcut on a full set", LOCAL_SEARCH,
+        "members = () if room and f.descriptor.monotone else sorted(T)",
+        "members = () if f.descriptor.monotone else sorted(T)",
+    ),
+    Mutant(
         "score_items swap tie goes to the last victim", LOCAL_SEARCH,
         "                if g > gain:\n                    gain = g\n            if room:",
         "                if g >= gain:\n                    gain = g\n            if room:",
@@ -120,9 +130,14 @@ CATALOGUE = (
         "for x in sorted(kept, reverse=True):",
     ),
     Mutant(
+        "trim returns B for every kind", SOLVER,
+        "    if descriptor.monotone:\n        kept = frozenset(B)",
+        "    if True:\n        kept = frozenset(B)",
+    ),
+    Mutant(
         "trim without graph cut's exact tie", SOLVER,
         "        if current - without < 0 or (\n"
-        "            current == without and not descriptor.monotone\n"
+        "            current == without\n"
         "            and descriptor._exact(descriptor._state(kept - {x}))\n"
         "            > descriptor._exact(descriptor._state(kept))\n"
         "        ):",
