@@ -9,13 +9,12 @@ loses value, keeps a member whose removal would raise it or differs from
 helpers.ref_trim, a monotone trim that makes a call or drops a member, a
 monotone swap or removal worth more than the add or the set, a pruned exact
 report that differs from full enumeration, and a blank round that changes S
-or a feasible set.  It also runs both solvers
-and the greedy reports on instances of up to three such functions against
-helpers.ref_solve and helpers.ref_greedy, brute force against
-helpers.ref_brute_force, local_gain and score_items against
-helpers.expected_local_gain, and
-checks that each solver's feasible sets stay below the exact report of its S,
-whose witnesses replay to its value.
+or a feasible set.  It also runs both solvers and the greedy reports on
+instances of up to three such functions against helpers.ref_solve and
+helpers.ref_greedy, brute force against helpers.ref_brute_force, local_gain
+and score_items against helpers.expected_local_gain, and checks that each
+solver's feasible sets stay below the exact report of its S, whose witnesses
+replay to its value.
 """
 
 import itertools

@@ -44,12 +44,6 @@ class TestTrim:
         assert type(kept) is frozenset and kept == {0, 2}
         assert oracle.eval_count == 0
 
-    def test_monotone_trim_rejects_an_out_of_range_id(self):
-        oracle = Oracle(Modular((1.0, 2.0)), n=2)
-        with pytest.raises(ValidationError, match="item 2 out of range, ground set has 2 items"):
-            trim(oracle, {0, 2})
-        assert oracle.eval_count == 0
-
     def test_empty_set(self):
         oracle = Oracle(helpers.path_cut(), n=3)
         assert trim(oracle, set()) == frozenset()
