@@ -8,7 +8,9 @@ counts.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Collection, Iterable
 
@@ -111,29 +113,20 @@ class _Summed:
             raise ValidationError(f"{label} total is not finite")
 
 
-class _AtomSum(_Summed):
-    """The state of coverage, graph cut and modular: a set of atoms and the
-    exact total of their weights (``_exact``).  The atoms are the universe
-    elements a set covers, the edges it cuts, or its own items.
-
-    A kind gives item x's atoms (``_atoms_of(x)``, none for an id outside
-    0 .. n-1).  A set's atoms join those of its members: a union, or for graph
-    cut (``_toggle``) a symmetric difference, which keeps the edges with
-    exactly one end in the set.  ``_gain`` is the exact int that x adds to a
-    state's total: the weights of the atoms x brings that the state lacks,
-    so coverage and modular give frozensets; graph cut overrides it with a
-    toggle.  ``_join`` and ``_grow`` add that gain to the total.
+class _ExactSum(_Summed):
+    """The state of coverage, graph cut and modular ends in the exact total
+    of its weights (``_exact``), and a kind gives ``_gain``, the exact int
+    that item x adds to a state's total; ``_join`` adds it.
 
     Each weight is held as an exact integer multiple of ``1 / _scale``
     (``_ints``), where ``_scale`` is 2**s for the largest binary exponent s
     among the weights, at most 1074.  A total is then an exact int, and a
     value is that int divided by ``_scale``: int true division is correctly
-    rounded, so a value is the very float ``math.fsum`` gives the atoms'
-    weights, and it depends neither on the order in which a set iterates nor
-    on how its atoms were gathered.
+    rounded, so a value is the very float ``math.fsum`` gives the weights it
+    sums, and it depends neither on the order in which a set iterates nor on
+    how its total was gathered.
     """
 
-    _toggle = False
     _ints: tuple[int, ...]
     _scale: int
 
@@ -148,15 +141,6 @@ class _AtomSum(_Summed):
         object.__setattr__(self, "_scale", scale)
         self._check_total(label, ((), sum(ints)))
 
-    def _state(self, items: Iterable[int]) -> tuple[set[int], int]:
-        atoms: set[int] = set()
-        join = atoms.symmetric_difference_update if self._toggle else atoms.update
-        # A repeated id joins once: a second toggle would undo the first.
-        for x in frozenset(items):
-            join(self._atoms_of(x))
-        ints = self._ints
-        return atoms, sum([ints[u] for u in atoms])
-
     def _total(self, state: tuple[Collection[int], int]) -> float:
         # Raises OverflowError where fsum would: when the rounded total is
         # past the largest float.
@@ -166,17 +150,34 @@ class _AtomSum(_Summed):
         """The state's total as an exact int multiple of ``1 / _scale``."""
         return state[1]
 
+    def _join(self, state: tuple[Collection[int], int], x: int) -> float:
+        return (state[1] + self._gain(state, x)) / self._scale
+
+
+class _AtomSum(_ExactSum):
+    """The state of coverage and modular: a set of atoms and their exact
+    total.  The atoms are the universe elements a set covers, or its own
+    items.
+
+    A kind gives item x's atoms (``_atoms_of(x)``, none for an id outside
+    0 .. n-1).  A set's atoms are the union of its members'; ``_gain`` is
+    the weight of the atoms x brings that the state lacks.
+    """
+
+    def _state(self, items: Iterable[int]) -> tuple[set[int], int]:
+        atoms: set[int] = set()
+        for x in items:
+            atoms.update(self._atoms_of(x))
+        ints = self._ints
+        return atoms, sum([ints[u] for u in atoms])
+
     def _gain(self, state: tuple[set[int], int], x: int) -> int:
         ints = self._ints
         return sum([ints[u] for u in self._atoms_of(x).difference(state[0])])
 
-    def _join(self, state: tuple[set[int], int], x: int) -> float:
-        return (state[1] + self._gain(state, x)) / self._scale
-
     def _grow(self, state: tuple[set[int], int], x: int) -> tuple[set[int], int]:
         atoms, total = state
-        new = atoms.symmetric_difference if self._toggle else atoms.union
-        return new(self._atoms_of(x)), total + self._gain(state, x)
+        return atoms.union(self._atoms_of(x)), total + self._gain(state, x)
 
 
 @dataclass(frozen=True)
@@ -315,28 +316,38 @@ class FacilityLocation(_Summed):
         return total
 
 
+def _weight_into(weights: dict[int, int], members: frozenset[int]) -> int:
+    """The summed weight of a vertex's edges into members, walking the
+    smaller of its adjacency map and members."""
+    if len(members) < len(weights):
+        return sum([weights[t] for t in members if t in weights])
+    return sum([w for t, w in weights.items() if t in members])
+
+
 @dataclass(frozen=True)
-class GraphCut(_AtomSum):
+class GraphCut(_ExactSum):
     """Weighted graph cut: value of A is the total weight of edges with
     exactly one endpoint in A.  Non-monotone, the canonical stress case.
     Edges are (u, v, weight) triples over real item ids.
 
-    Each vertex keeps the indices of its incident edges, its atoms, so a value
-    costs the degree sum of A plus a sum over the cut, not |E|, and a move
-    from A costs the degree of the added item.
+    Each vertex has an adjacency map, neighbour -> the summed int weight of
+    the edges between them, and its weighted degree, built on first use.  A
+    state is A's members and its exact cut total.  A value sums, per member,
+    the weights to its neighbours outside A: its degree less its weight into
+    A.  A move adds x's degree less twice its weight into A.  A weight into A
+    costs at most |A| lookups, so a value costs O(|A|^2) and a move O(|A|),
+    not |E| or deg(x).
     """
 
     edges: tuple[tuple[int, int, float], ...]
 
     kind = "graph_cut"
     monotone = False
-    _toggle = True
 
     def __post_init__(self) -> None:
         if not _is_list(self.edges):
             raise ValidationError("graph_cut edges must be a list")
         normalized = []
-        incident: dict[int, list[int]] = {}
         for i, edge in enumerate(self.edges):
             if not isinstance(edge, (tuple, list)) or len(edge) != 3:
                 raise ValidationError(f"edges[{i}] must be a (u, v, weight) triple")
@@ -346,12 +357,9 @@ class GraphCut(_AtomSum):
             if u == v:
                 raise ValidationError(f"edges[{i}] is a self-loop on vertex {_int_text(u)}")
             normalized.append((u, v, _check_weight(f"edges[{i}] weight", w)))
-            incident.setdefault(u, []).append(i)
-            incident.setdefault(v, []).append(i)
         # Derived, not fields: equality, hashing and the JSON form ignore them.
         self._hold("edge weight", [w for _, _, w in normalized])
         object.__setattr__(self, "edges", tuple(normalized))
-        object.__setattr__(self, "_incident", {x: tuple(e) for x, e in incident.items()})
 
     def validate_for(self, n: int) -> None:
         for i, (u, v, _) in enumerate(self.edges):
@@ -363,15 +371,36 @@ class GraphCut(_AtomSum):
 
     value = _Summed.value  # in the class dict, as for Coverage
 
-    def _atoms_of(self, x: int) -> Iterable[int]:
-        # Ids outside 0 .. n-1 are never endpoints.
-        return self._incident.get(x, ())
+    @cached_property
+    def _adjacent(self) -> dict[int, tuple[int, dict[int, int]]]:
+        """Vertex -> (weighted degree, neighbour -> summed weight), in ints.
+        Built on first use, so building an instance does not pay for it."""
+        adjacent: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for (u, v, _), w in zip(self.edges, self._ints):
+            # Parallel edges sum into one weight; a single edge's weight is
+            # the int _ints holds, not a copy.
+            into_u, into_v = adjacent[u], adjacent[v]
+            into_u[v] = into_u[v] + w if v in into_u else w
+            into_v[u] = into_v[u] + w if u in into_v else w
+        return {x: (sum(ws.values()), ws) for x, ws in adjacent.items()}
 
-    def _gain(self, state: tuple[set[int], int], x: int) -> int:
-        # Each of x's edges toggles: one already cut leaves the cut, any other
-        # enters it.
-        atoms, ints = state[0], self._ints
-        return sum([-ints[e] if e in atoms else ints[e] for e in self._atoms_of(x)])
+    def _state(self, items: Iterable[int]) -> tuple[frozenset[int], int]:
+        # Each member adds its weight to neighbours outside A: its degree less
+        # its weight into A.  Ids outside 0 .. n-1 are never endpoints.
+        members, adjacent, total = frozenset(items), self._adjacent, 0
+        for a in members:
+            entry = adjacent.get(a)
+            if entry is not None:
+                total += entry[0] - _weight_into(entry[1], members)
+        return members, total
+
+    def _gain(self, state: tuple[frozenset[int], int], x: int) -> int:
+        # For x outside A: x's edges into A leave the cut, the others enter.
+        entry = self._adjacent.get(x)
+        return 0 if entry is None else entry[0] - 2 * _weight_into(entry[1], state[0])
+
+    def _grow(self, state: tuple[frozenset[int], int], x: int) -> tuple[frozenset[int], int]:
+        return state[0] | {x}, state[1] + self._gain(state, x)
 
 
 @dataclass(frozen=True)
@@ -444,9 +473,13 @@ class Oracle:
     as a solver's feasible set T, the oracle builds the states of T and of
     each T - y whole on first use, and keeps them while the same set object
     keeps coming as ``near``.
+
+    ``score_items`` keeps its last pass over each oracle in ``_pass`` and
+    reuses it, at no call, while that function's set stays the same.  An
+    oracle lives for one solve, so a kept pass never leaves it.
     """
 
-    __slots__ = ("descriptor", "n", "_count", "_memo", "_near", "_states")
+    __slots__ = ("descriptor", "n", "_count", "_memo", "_near", "_states", "_pass")
 
     def __init__(
         self,
@@ -464,6 +497,9 @@ class Oracle:
         # from, by the member a swap removes (None for the set itself).
         self._near: frozenset[int] | None = None
         self._states: dict[int | None, object] = {}
+        # The last scoring pass over this oracle: (T, k, items, gains), see
+        # score_items.
+        self._pass: tuple[frozenset[int], int, list[int], list[float]] | None = None
 
     @property
     def eval_count(self) -> int:

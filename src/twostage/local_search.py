@@ -87,17 +87,32 @@ def score_items(
     the add alone: f_i(T_i + x) is at least every f_i(T_i + x - y), rounded
     values included, so the add's gain is the best.  Output is in ascending
     item order, one entry per universe item.
+
+    Each pass is kept on f_i's oracle (T_i, k, the items and their gains).
+    A later call whose T_i equals the kept one, under the same k, and whose
+    items were all scored by that pass reuses its gains and makes no call
+    for f_i, f_i(T_i) included: a gain depends only on T_i, k and x.  So a
+    round that leaves T_i as it was scores f_i for free in the next one
+    (Minoux 1978).  Totals are summed in function order from 0.0 either way,
+    so every score is the same float.
     """
     if len(fs) != len(Ts):
         raise ValidationError(f"fs and Ts length mismatch: {len(fs)} vs {len(Ts)}")
     sets = [frozenset(T) for T in Ts]
-    bases = [f.eval(T) for f, T in zip(fs, sets)]
     items = sorted(universe)
     for T in sets if items else ():
         if len(T) > k:
             raise ValidationError(f"feasible set has {len(T)} items, budget k={k}")
     totals = [0.0] * len(items)
-    for f, T, base in zip(fs, sets, bases):
+    for f, T in zip(fs, sets):
+        held = f._pass
+        if held is not None and held[0] == T and held[1] == k:
+            gain_of = dict(zip(held[2], held[3]))
+            if gain_of.keys() >= set(items):
+                totals = [t + gain_of[x] for t, x in zip(totals, items)]
+                continue
+        gains = [0.0] * len(items)
+        base = f.eval(T)
         room, value = len(T) < k, f.eval
         members = () if room and f.descriptor.monotone else sorted(T)
         for j, x in enumerate(items):
@@ -116,6 +131,8 @@ def score_items(
                 if g > gain:
                     gain = g
             totals[j] += gain
+            gains[j] = gain
+        f._pass = (T, k, items, gains)
     return [ScoredItem(x, total) for x, total in zip(items, totals)]
 
 

@@ -35,7 +35,8 @@ class RoundState:
     """Snapshot handed to an observer after each solver round completes.
 
     S holds the items selected so far; after a blank round it and every
-    feasible set equal the previous snapshot's.  evals counts the oracle
+    feasible set equal the previous snapshot's, and the next round's scoring
+    reuses every function's last pass at no call.  evals counts the oracle
     calls of the solve so far, as TwoStageSolution.evals does."""
 
     round_index: int
@@ -50,7 +51,8 @@ class TwoStageSolution:
     feasible sets, and the oracle-call count of the solve.  seed is None for
     deterministic runs.
 
-    evals counts scoring, absorbing and trimming.  Scoring a monotone
+    evals counts scoring, absorbing and trimming.  Scoring a function whose
+    set is the one its last scoring pass saw counts none, scoring a monotone
     function whose set has room counts one add per candidate, and trimming a
     monotone function's set counts none (see score_items and trim)."""
 

@@ -167,10 +167,12 @@ def ref_solve(instance, seed):
 
     Every set is valued whole by the ref_*_value functions, with no oracle,
     memo or move state.  Every move is valued, so each score is checked in
-    full, but only the calls the solver makes are counted: scoring a monotone
-    function whose T has room counts its adds alone, which must give the best
-    gain, and trim counts none on a monotone function, where ref_trim must
-    keep every member.  Trim is ref_trim.
+    full, but only the calls the solver makes are counted: a function whose
+    T is the one its last counted pass scored counts none, and each of its
+    gains must be the one that pass found; scoring a monotone function whose
+    T has room counts its adds alone, which must give the best gain; and trim
+    counts none on a monotone function, where ref_trim must keep every
+    member.  Trim is ref_trim.
     """
     n, k, l = instance.n, instance.k, instance.l
     rng = None if seed is None else random.Random(seed)
@@ -194,19 +196,32 @@ def ref_solve(instance, seed):
         return gain, after
 
     S, Ts, rounds = set(), [frozenset()] * len(values), []
+    # Per function, the T its last counted pass scored and that pass's gains.
+    scored, held = [None] * len(values), [None] * len(values)
     for r in range(1, l + 1):
         unpicked = [x for x in range(n) if x not in S]
-        bases = [f(i, T) for i, T in enumerate(Ts)]
+        gains = []
+        for i, T in enumerate(Ts):
+            fresh = T != scored[i]
+            base = f(i, T, fresh)
+            gain_of = {}
+            for x in unpicked:
+                if monotone[i] and len(T) < k:
+                    gain = best_move(i, T, x, base, counted=False)[0]
+                    assert gain == max(0.0, f(i, T | {x}, fresh) - base), (instance, i, T, x)
+                else:
+                    gain = best_move(i, T, x, base, fresh)[0]
+                if not fresh:
+                    assert gain == held[i][x], (instance, i, T, x)
+                gain_of[x] = gain
+            if fresh:
+                scored[i], held[i] = T, gain_of
+            gains.append(gain_of)
         scores = []
         for x in unpicked:
             total = 0.0
-            for i, T in enumerate(Ts):
-                if monotone[i] and len(T) < k:
-                    gain = best_move(i, T, x, bases[i], counted=False)[0]
-                    assert gain == max(0.0, f(i, T | {x}) - bases[i]), (instance, i, T, x)
-                else:
-                    gain = best_move(i, T, x, bases[i])[0]
-                total += gain
+            for gain_of in gains:
+                total += gain_of[x]
             scores.append((-total, x))
         M = sorted(x for _, x in sorted(scores)[:top])
         slot = 0 if rng is None else rng.randrange(top)

@@ -434,10 +434,12 @@ class TestBitExactValues:
         self._check(descriptor, sets)
 
     def test_graph_cut_index_is_not_a_field(self):
-        # The derived incidence lists stay out of ==, hash and the JSON form.
+        # The derived adjacency maps stay out of ==, hash and the JSON form,
+        # built or not.
         assert [f.name for f in fields(GraphCut)] == ["edges"]
         a = GraphCut(((0, 1, 0.5), (1, 2, 0.25)))
         b = GraphCut([[0, 1, 0.5], [1, 2, 0.25]])
+        assert a.value({1}) == 0.75
         assert a == b and hash(a) == hash(b)
         assert repr(a) == "GraphCut(edges=((0, 1, 0.5), (1, 2, 0.25)))"
         assert serialize_instance(Instance(3, 1, 1, (a,))) == (

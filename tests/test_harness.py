@@ -316,13 +316,16 @@ class TestCsv:
     def test_csv_bytes_golden_digest(self):
         # wall_ms is the only column that varies between runs.  Re-pinned when
         # scoring stopped valuing a monotone set's swaps while it has room and
-        # trim stopped valuing monotone sets: only evals moved (see below).
-        assert self.golden_digest(["wall_ms"]) == "3dd22b21e3a7d605"
+        # trim stopped valuing monotone sets, and again when scoring stopped
+        # re-valuing a function whose set had not changed since its last
+        # pass: each time only evals moved (see below).
+        assert self.golden_digest(["wall_ms"]) == "62cb195fe6072bd2"
 
     def test_csv_bytes_golden_digest_without_evals(self):
         # Everything but the call counts.  Recorded while scoring still valued
         # a monotone set's swaps and trim still valued monotone sets: dropping
-        # those calls moved evals and nothing else.
+        # those calls, and the re-scoring of unchanged sets, moved evals and
+        # nothing else.
         assert self.golden_digest(["evals", "wall_ms"]) == "43e82c00335daeeb"
 
 

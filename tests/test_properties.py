@@ -8,9 +8,11 @@ bases), a grown state whose total differs from the grown set's, a trim that
 loses value, keeps a member whose removal would raise it or differs from
 helpers.ref_trim, a monotone trim that makes a call or drops a member, a
 monotone swap or removal worth more than the add or the set, a pruned exact
-report that differs from full enumeration, and a blank round that changes S
-or a feasible set.  It also runs both solvers and the greedy reports on
-instances of up to three such functions against helpers.ref_solve and
+report that differs from full enumeration, a blank round that changes S
+or a feasible set, a graph cut whose adjacency sums differ from its toggled
+cut, and a scoring pass that is reused for a changed set, budget or item, or
+re-scores an unchanged one.  It also runs both solvers and the greedy reports
+on instances of up to three such functions against helpers.ref_solve and
 helpers.ref_greedy, brute force against helpers.ref_brute_force, local_gain
 and score_items against helpers.expected_local_gain, and checks that each
 solver's feasible sets stay below the exact report of its S, whose witnesses
@@ -19,6 +21,7 @@ replay to its value.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,6 +50,7 @@ from helpers import (
     ref_brute_force,
     ref_greedy,
     ref_trim,
+    ref_value,
 )
 
 weights = st.sampled_from(ADVERSARIAL_WEIGHTS)
@@ -229,6 +233,65 @@ def test_grow_is_the_state_of_the_grown_set(case):
 
 
 @st.composite
+def multigraph_cuts(draw, n: int) -> GraphCut:
+    """A cut whose edges may repeat a pair, either way round, and may leave
+    vertices isolated or the cut edgeless."""
+    pairs = list(itertools.permutations(range(n), 2))
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), weights), max_size=12)) if pairs else []
+    return GraphCut(tuple((u, v, w) for (u, v), w in edges))
+
+
+@st.composite
+def cut_cases(draw):
+    """(n, cut, a subset of range(n), ids outside 0 .. n-1)"""
+    n = draw(st.integers(1, 7))
+    cut = draw(st.one_of(multigraph_cuts(n), graph_cuts(n), shaped_cuts(n)))
+    T = draw(st.frozensets(st.integers(0, n - 1)))
+    return n, cut, T, draw(st.frozensets(st.sampled_from((-1, n, n + 5))))
+
+
+def toggled_total(cut: GraphCut, A) -> int:
+    """The cut total of A as a multiple of 1 / cut._scale: each member
+    toggles its edges in and out of the cut, then the cut's weights are
+    summed as Fractions."""
+    inside = set()
+    for x in set(A):
+        inside ^= {i for i, (u, v, _) in enumerate(cut.edges) if x in (u, v)}
+    total = sum(Fraction(cut.edges[i][2]) for i in inside) * cut._scale
+    assert total.denominator == 1
+    return total.numerator
+
+
+@search
+@given(cut_cases())
+@example((6, ADVERSARIAL_CUT, frozenset({0, 2, 3}), frozenset()))
+@example((4, GraphCut(((0, 3, 5e-324), (1, 3, 1.0), (2, 3, 2.0**53))), frozenset({0, 2, 3}),
+          frozenset({4})))
+# Parallel edges, one written the other way round; vertex 2 has no edge.
+@example((4, GraphCut(((0, 1, 0.1), (1, 0, 0.2), (0, 1, 2.0**53), (1, 3, 5e-324))),
+          frozenset({1}), frozenset({-1, 9})))
+@example((3, GraphCut(()), frozenset({0, 2}), frozenset({3})))
+def test_graph_cut_adjacency_is_the_toggled_cut(case):
+    # Whole values, exact totals, gains, grown states and every add and swap
+    # from T: the reference floats and the toggled int totals.  Ids outside
+    # 0 .. n-1 are never endpoints, so they add nothing.
+    n, cut, T, outside = case
+    ref = ref_value(cut)
+    A = T | outside
+    state = cut._state(A)
+    assert cut.value(A).hex() == ref(A).hex()
+    assert cut._exact(state) == toggled_total(cut, A) == toggled_total(cut, T)
+    oracle = Oracle(cut, n)
+    for x in sorted(set(range(n)) - T):
+        assert cut._gain(state, x) == toggled_total(cut, A | {x}) - toggled_total(cut, A)
+        assert cut._exact(cut._grow(state, x)) == toggled_total(cut, A | {x})
+        assert cut._join(state, x).hex() == ref(A | {x}).hex()
+        for y in sorted(T):
+            move = (T | {x}) - {y}
+            assert oracle.eval(move, T).hex() == ref(move).hex(), (x, y)
+
+
+@st.composite
 def base_chains(draw):
     """(n, descriptor, order, lengths): the bases are the prefixes of one
     order of range(n) of the drawn lengths, so that they grow and shrink by
@@ -310,6 +373,14 @@ def test_solvers_match_the_reference_solver(instance, seed):
 
 
 @search
+@given(crowded_instances(), st.none() | st.integers(0, 2**32 - 1))
+def test_solvers_match_the_reference_solver_across_blank_rounds(instance, seed):
+    # A blank round leaves every set as it was, so the next round scores
+    # every function from its kept pass, at no call.
+    assert_solves_like_reference(instance, seed)
+
+
+@search
 @given(cases().filter(lambda case: case[1].monotone))
 def test_a_monotone_add_is_worth_every_swap_and_every_removal(case):
     # What score_items and trim rest on, in rounded values: f(T + x), as the
@@ -357,6 +428,66 @@ def test_score_items_totals_are_the_summed_local_gains(case):
         room = len(T) < k
         per_item = 1 if room and descriptor.monotone else len(T) + room
         assert oracle.eval_count == 1 + (n - len(T)) * per_item
+
+
+def _scores(scored):
+    return [(s.item, s.total_score.hex()) for s in scored]
+
+
+def _calls(oracles):
+    return [oracle.eval_count for oracle in oracles]
+
+
+@search
+@given(scored_sets(), st.data())
+def test_a_second_pass_over_equal_sets_reuses_the_first_at_no_call(case, data):
+    # Equal sets, not the same objects, and the items in another order or
+    # only some of them: the same floats, and no call at all.
+    n, k, functions, Ts = case
+    oracles = [Oracle(descriptor, n) for descriptor in functions]
+    first = score_items(oracles, Ts, range(n), k)
+    calls = _calls(oracles)
+    again = score_items(oracles, [set(T) for T in Ts], reversed(range(n)), k)
+    assert _scores(again) == _scores(first) and _calls(oracles) == calls
+    items = data.draw(st.frozensets(st.integers(0, n - 1)))
+    part = score_items(oracles, [frozenset(sorted(T)) for T in Ts], items, k)
+    assert _scores(part) == [s for s in _scores(first) if s[0] in items]
+    assert _calls(oracles) == calls
+
+
+@search
+@given(scored_sets(), st.data())
+def test_a_changed_set_k_or_item_scores_anew(case, data):
+    # Against oracles that scored (Ts, range(n) - {z}, k): a changed set, a
+    # larger k or the unscored item z gets today's scores at today's calls,
+    # those of fresh oracles, and an unchanged set under the same k and items
+    # makes no call.
+    n, k, functions, Ts = case
+    z = data.draw(st.integers(0, n - 1))
+    unscored = [x for x in range(n) if x != z]
+
+    def scored_once():
+        oracles = [Oracle(descriptor, n) for descriptor in functions]
+        score_items(oracles, Ts, unscored, k)
+        return oracles
+
+    def check(oracles, sets, items, budget, changed):
+        before = _calls(oracles)
+        got = score_items(oracles, sets, items, budget)
+        fresh = [Oracle(descriptor, n) for descriptor in functions]
+        assert _scores(got) == _scores(score_items(fresh, sets, items, budget))
+        spent = [after - b for after, b in zip(_calls(oracles), before)]
+        assert spent == [c if again else 0 for c, again in zip(_calls(fresh), changed)]
+
+    moved = [data.draw(st.booleans()) for _ in Ts]
+    sets = [
+        data.draw(st.frozensets(st.integers(0, n - 1), max_size=k).filter(lambda U, T=T: U != T))
+        if move else T
+        for T, move in zip(Ts, moved)
+    ]
+    check(scored_once(), sets, unscored, k, moved)
+    check(scored_once(), Ts, unscored, k + 1, [True] * len(Ts))
+    check(scored_once(), Ts, range(n), k, [True] * len(Ts))
 
 
 @search

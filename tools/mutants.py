@@ -120,6 +120,16 @@ CATALOGUE = (
         "g == gain assigns the same float (a difference of equal floats is +0.0)",
     ),
     Mutant(
+        "reuse a pass whatever T is", LOCAL_SEARCH,
+        "if held is not None and held[0] == T and held[1] == k:",
+        "if held is not None and held[1] == k:",
+    ),
+    Mutant(
+        "reuse a pass across a different k", LOCAL_SEARCH,
+        "if held is not None and held[0] == T and held[1] == k:",
+        "if held is not None and held[0] == T:",
+    ),
+    Mutant(
         "select_top_l ties go to larger ids", LOCAL_SEARCH,
         "key=lambda s: (-s.total_score, s.item)",
         "key=lambda s: (-s.total_score, -s.item)",
@@ -152,6 +162,11 @@ CATALOGUE = (
         "a blank slot draws the last item", SOLVER,
         "slot = rng.randrange(top) if rng is not None else 0",
         "slot = min(rng.randrange(top), len(M) - 1) if rng is not None else 0",
+    ),
+    Mutant(
+        "graph-cut gain counts w(x, t) once", FUNCTIONS,
+        "entry[0] - 2 * _weight_into(entry[1], state[0])",
+        "entry[0] - _weight_into(entry[1], state[0])",
     ),
     Mutant(
         "a plain near keeps its old states", FUNCTIONS,
